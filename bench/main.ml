@@ -109,23 +109,14 @@ let test_fig4b_cell =
   figure_cell ~name:"fig4b/cell oscillating" ~policy:Coretime.Policy.default
     ~oscillate:true
 
-(* Sharded-vs-serial price of one engine step stream: the same
-   compute+shared-line cell, built fresh per run and driven to
-   quiescence, on the classic serial engine and on the windowed sharded
-   engine at one and four domains. The sharded rows pay the window grid,
-   outbox handling and (shards > 1) barrier rounds on top of identical
-   event work; on a single-core host the multi-domain row also pays
-   spin-then-block barrier waits, so the honest expectation there is a
-   slowdown — the row exists to price the machinery, not to flatter it. *)
-let machine_step_cell ~name ~shards =
+(* Price of one engine step stream: a compute+shared-line cell, built
+   fresh per run and driven to quiescence on the serial engine. *)
+let test_machine_step_serial =
   let cfg = O2_simcore.Config.amd16 in
-  Test.make ~name
+  Test.make ~name:"machine/step serial cell"
     (Staged.stage (fun () ->
          let machine = O2_simcore.Machine.create cfg in
-         let engine =
-           if shards = 0 then O2_runtime.Engine.create machine
-           else O2_runtime.Engine.create_sharded machine ~shards
-         in
+         let engine = O2_runtime.Engine.create machine in
          let mem = O2_simcore.Machine.memory machine in
          let shared = O2_simcore.Memsys.alloc_isolated mem ~name:"s" ~size:64 in
          for chip = 0 to cfg.O2_simcore.Config.chips - 1 do
@@ -140,17 +131,6 @@ let machine_step_cell ~name ~shards =
                   done))
          done;
          O2_runtime.Engine.run engine))
-
-let test_machine_step_serial =
-  machine_step_cell ~name:"machine/step serial cell" ~shards:0
-
-let test_machine_step_sharded1 =
-  machine_step_cell ~name:"machine/step sharded cell (windowed, 1 domain)"
-    ~shards:1
-
-let test_machine_step_sharded4 =
-  machine_step_cell ~name:"machine/step sharded cell (windowed, 4 domains)"
-    ~shards:4
 
 let test_lookup =
   let machine = O2_simcore.Machine.create O2_simcore.Config.amd16 in
@@ -481,8 +461,6 @@ let bechamel_tests =
     (`Fast, test_read_hit);
     (`Mid, test_read_stream);
     (`Slow, test_machine_step_serial);
-    (`Slow, test_machine_step_sharded1);
-    (`Slow, test_machine_step_sharded4);
     (`Mid, test_lookup);
     (`Fast, test_event_queue);
     (`Fast, test_deque_push_pop);
@@ -552,31 +530,18 @@ let run_bechamel () =
 
 (* Times the quick Figure 4(a) sweep at jobs=1 and jobs=N and checks the
    row lists are bit-identical (the determinism contract of
-   Harness.run_cells), then repeats the sweep on the windowed sharded
-   engine at shards 1/2/4 (jobs=1) — per-width wall-clock plus the
-   shard-count-invariance check (bit-identical rows whatever the domain
-   count; intentionally different from the serial rows). Written as JSON
-   so CI can trend it. *)
+   Harness.run_cells). Written as JSON so CI can trend it. *)
 let run_fig4_json ~jobs path =
-  let sweep ?(shards = 0) jobs =
+  let sweep jobs =
     let t0 = Unix.gettimeofday () in
     let rows =
-      O2_experiments.Figure4.sweep ~jobs ~shards ~quick:true ~oscillation:None
-        ()
+      O2_experiments.Figure4.sweep ~jobs ~quick:true ~oscillation:None ()
     in
     (rows, Unix.gettimeofday () -. t0)
   in
   let rows_seq, seconds_seq = sweep 1 in
   let rows_par, seconds_par = sweep jobs in
   let identical = rows_seq = rows_par in
-  let shard_widths = [ 1; 2; 4 ] in
-  let sharded = List.map (fun s -> (s, sweep ~shards:s 1)) shard_widths in
-  let sharded_identical =
-    match sharded with
-    | [] -> true
-    | (_, (first, _)) :: rest ->
-        List.for_all (fun (_, (rows, _)) -> rows = first) rest
-  in
   let row_json r =
     Printf.sprintf
       "    {\"kb\": %d, \"without_ct_kres\": %.3f, \"with_ct_kres\": %.3f}"
@@ -597,22 +562,8 @@ let run_fig4_json ~jobs path =
          Printf.sprintf "  \"speedup\": %.2f,"
            (if seconds_par > 0.0 then seconds_seq /. seconds_par else nan);
          Printf.sprintf "  \"rows_bit_identical\": %b," identical;
-         "  \"sharded\": [";
+         "  \"rows\": [";
        ]
-      @ [
-          String.concat ",\n"
-            (List.map
-               (fun (s, (_, secs)) ->
-                 Printf.sprintf "    {\"shards\": %d, \"seconds\": %.3f}" s
-                   secs)
-               sharded);
-        ]
-      @ [
-          "  ],";
-          Printf.sprintf "  \"sharded_rows_bit_identical\": %b,"
-            sharded_identical;
-          "  \"rows\": [";
-        ]
       @ [ String.concat ",\n" (List.map row_json rows_seq) ]
       @ [ "  ]"; "}"; "" ])
   in
@@ -622,15 +573,8 @@ let run_fig4_json ~jobs path =
   Printf.printf "fig4a quick sweep: %.2fs at jobs=1, %.2fs at jobs=%d (%.2fx)\n"
     seconds_seq seconds_par jobs (seconds_seq /. seconds_par);
   Printf.printf "rows bit-identical across jobs: %b\n" identical;
-  List.iter
-    (fun (s, (_, secs)) ->
-      Printf.printf "sharded sweep (windowed engine): %.2fs at shards=%d\n"
-        secs s)
-    sharded;
-  Printf.printf "sharded rows bit-identical across shard widths: %b\n"
-    sharded_identical;
   Printf.printf "wrote %s\n" path;
-  if identical && sharded_identical then 0 else 1
+  if identical then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* Native backend wall-clock: oracle verdicts + ops/sec ladder as JSON  *)

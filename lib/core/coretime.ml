@@ -18,10 +18,7 @@ type frame = {
 }
 
 (* The per-thread stack of open operation frames lives on the thread
-   itself (see {!Thread.ctx}): thread-local state needs no table, and is
-   the only kind of CoreTime state a worker domain may touch freely under
-   the sharded engine — a thread runs on one domain at a time, and
-   cross-chip handoffs pass through a window barrier. *)
+   itself (see {!Thread.ctx}): thread-local state needs no table. *)
 type Thread.ctx += Frames of frame list
 
 type stats = {
@@ -29,34 +26,6 @@ type stats = {
   mutable replications : int;
   mutable op_migrations : int;
   mutable ops : int;
-}
-
-(* Deferred shared-state mutation under the sharded engine: ct_start /
-   ct_end append one entry per boundary to their chip's log; the window
-   barrier merges all chips' logs by (time, chip, seq) — a total,
-   domain-count-independent order — and applies them serially. In-window
-   code only {e reads} the object table (find, home), so promotion and
-   statistics decisions take effect one window late; that is the
-   documented semantic delta of the windowed engine, and it is
-   bit-identical for every shard count. *)
-type lentry = {
-  le_start : bool;
-  le_time : int;
-  le_chip : int;
-  le_seq : int;
-  le_obj : Object_table.obj option;
-  le_parent : Object_table.obj option;  (* start: co-access parent *)
-  le_migrated : bool;  (* start: the op was shipped to its home *)
-  le_write : bool;  (* end *)
-  le_misses : int;  (* end: remote + DRAM misses during the op *)
-  le_busy : int;  (* end: busy-cycle delta, for ownership billing *)
-}
-
-type shardlog = {
-  chip_of : int -> int;
-  chip_ops : int array;  (* completed-op counts, one slot per chip *)
-  logs : lentry list array;  (* per chip, newest first *)
-  nlog : int array;  (* per-chip lengths (and the next le_seq) *)
 }
 
 type t = {
@@ -67,12 +36,7 @@ type t = {
   ownership_ : Ownership.t;
   rebalancer_ : Rebalancer.t;
   stats_ : stats;
-  shard_ : shardlog option;  (* Some iff the engine is sharded *)
 }
-
-(* Forward declaration: [apply_window] is defined after the helpers it
-   uses; [create] registers it as the barrier hook through this cell. *)
-let apply_window_ref = ref (fun (_ : t) ~wstart:(_ : int) ~wend:(_ : int) -> ())
 
 let create ?(policy = Policy.default) engine () =
   (match Policy.validate policy with
@@ -88,17 +52,6 @@ let create ?(policy = Policy.default) engine () =
   let rebalancer_ =
     Rebalancer.create ~probe:(Engine.probe engine) policy table_ machine
   in
-  let shard_ =
-    if Engine.is_sharded engine then
-      Some
-        {
-          chip_of = Config.chip_of_core cfg;
-          chip_ops = Array.make cfg.Config.chips 0;
-          logs = Array.make cfg.Config.chips [];
-          nlog = Array.make cfg.Config.chips 0;
-        }
-    else None
-  in
   let t =
     {
       engine_ = engine;
@@ -108,11 +61,8 @@ let create ?(policy = Policy.default) engine () =
       ownership_ = Ownership.create ();
       rebalancer_;
       stats_ = { promotions = 0; replications = 0; op_migrations = 0; ops = 0 };
-      shard_;
     }
   in
-  if shard_ <> None then
-    Engine.on_barrier engine (fun ~wstart ~wend -> !apply_window_ref t ~wstart ~wend);
   if policy.Policy.enabled && policy.Policy.rebalance then
     Engine.every engine ~period:policy.Policy.rebalance_period (fun ~now ->
         Engine.finalize_idle engine;
@@ -126,18 +76,7 @@ let clustering t = t.clustering_
 let ownership t = t.ownership_
 let rebalancer t = t.rebalancer_
 
-let stats t =
-  (* Sharded runs count completed ops in per-chip slots; fold them in so
-     the count is exact even when a run paused mid-window. (Promotion and
-     migration stats may lag the final partial window by construction.) *)
-  (match t.shard_ with
-  | Some sl ->
-      for chip = 0 to Array.length sl.chip_ops - 1 do
-        t.stats_.ops <- t.stats_.ops + sl.chip_ops.(chip);
-        sl.chip_ops.(chip) <- 0
-      done
-  | None -> ());
-  t.stats_
+let stats t = t.stats_
 
 let register t ?pid ~base ~size ~name () =
   Object_table.register t.table_ ?pid ~base ~size ~name ()
@@ -287,12 +226,6 @@ let emit_op_ended t th =
       (Probe.Op_ended
          { time = Api.now (); core = th.Thread.core; tid = th.Thread.id })
 
-(* Append a boundary entry to the executing chip's log (sharded only). *)
-let log_entry sl ~core e =
-  let chip = sl.chip_of core in
-  sl.logs.(chip) <- e :: sl.logs.(chip);
-  sl.nlog.(chip) <- sl.nlog.(chip) + 1
-
 let ct_start t ?(write = false) addr =
   let th = Api.self () in
   emit_op_requested t th ~addr;
@@ -311,16 +244,12 @@ let ct_start t ?(write = false) addr =
   else begin
     Api.compute t.policy_.Policy.ct_overhead;
     let obj = Object_table.find t.table_ addr in
-    let parent = parent_obj th in
-    (match t.shard_ with
-    | None ->
-        (match (obj, parent) with
-        | Some o, Some p ->
-            Clustering.note_coaccess t.clustering_ o.Object_table.base
-              p.Object_table.base
-        | _ -> ());
-        (match obj with Some o -> maybe_promote t o | None -> ())
-    | Some _ -> ()  (* deferred: applied at the window barrier *));
+    (match (obj, parent_obj th) with
+    | Some o, Some p ->
+        Clustering.note_coaccess t.clustering_ o.Object_table.base
+          p.Object_table.base
+    | _ -> ());
+    (match obj with Some o -> maybe_promote t o | None -> ());
     (* Read the home once: migrating yields, and the rebalancer may move
        the object meanwhile — the operation still runs where we decided. *)
     let home_target =
@@ -330,9 +259,7 @@ let ct_start t ?(write = false) addr =
       match home_target with
       | Some home when home <> th.Thread.core ->
           let from = th.Thread.core in
-          (match t.shard_ with
-          | None -> t.stats_.op_migrations <- t.stats_.op_migrations + 1
-          | Some _ -> ());
+          t.stats_.op_migrations <- t.stats_.op_migrations + 1;
           if t.policy_.Policy.op_shipping then Api.ship_to home
           else Api.migrate_to home;
           Some from
@@ -348,24 +275,6 @@ let ct_start t ?(write = false) addr =
         snap_dram = c.Counters.dram_loads;
         snap_busy = c.Counters.busy_cycles;
       };
-    (match t.shard_ with
-    | Some sl ->
-        (* Logged after any shipping, on the chip where the op runs. *)
-        let chip = sl.chip_of th.Thread.core in
-        log_entry sl ~core:th.Thread.core
-          {
-            le_start = true;
-            le_time = Api.now ();
-            le_chip = chip;
-            le_seq = sl.nlog.(chip);
-            le_obj = obj;
-            le_parent = parent;
-            le_migrated = migrated_from <> None;
-            le_write = false;
-            le_misses = 0;
-            le_busy = 0;
-          }
-    | None -> ());
     emit_op_started t th ~addr ~home:home_target
   end
 
@@ -376,14 +285,10 @@ let ct_end t =
   let machine = Engine.machine t.engine_ in
   let c = Machine.counters machine th.Thread.core in
   c.Counters.ops_completed <- c.Counters.ops_completed + 1;
-  (match t.shard_ with
-  | None -> t.stats_.ops <- t.stats_.ops + 1
-  | Some sl ->
-      let chip = sl.chip_of th.Thread.core in
-      sl.chip_ops.(chip) <- sl.chip_ops.(chip) + 1);
+  t.stats_.ops <- t.stats_.ops + 1;
   if t.policy_.Policy.enabled then begin
-    (match (frame.obj, t.shard_) with
-    | Some o, None ->
+    (match frame.obj with
+    | Some o ->
         let misses =
           c.Counters.remote_hits - frame.snap_remote
           + (c.Counters.dram_loads - frame.snap_dram)
@@ -401,108 +306,13 @@ let ct_end t =
         end;
         Ownership.charge t.ownership_ ~pid:o.Object_table.owner_pid
           ~cycles:(c.Counters.busy_cycles - frame.snap_busy)
-    | Some o, Some sl ->
-        let chip = sl.chip_of th.Thread.core in
-        log_entry sl ~core:th.Thread.core
-          {
-            le_start = false;
-            le_time = Api.now ();
-            le_chip = chip;
-            le_seq = sl.nlog.(chip);
-            le_obj = Some o;
-            le_parent = None;
-            le_migrated = false;
-            le_write = frame.write;
-            le_misses =
-              c.Counters.remote_hits - frame.snap_remote
-              + (c.Counters.dram_loads - frame.snap_dram);
-            le_busy = c.Counters.busy_cycles - frame.snap_busy;
-          }
-    | None, _ -> ());
+    | None -> ());
     match frame.migrated_from with
     | Some home_core when t.policy_.Policy.migrate_back ->
         if t.policy_.Policy.op_shipping then Api.ship_to home_core
         else Api.migrate_to home_core
     | Some _ | None -> ()
   end
-
-(* The barrier hook: merge every chip's log into one total order —
-   (time, chip, seq), independent of how chips were grouped onto
-   domains — and apply the deferred mutations serially. Runs in the
-   barrier's serial phase, before the facade's control events (so the
-   rebalancer always sees fully merged state). *)
-let apply_entry t e =
-  if e.le_start then begin
-    (match (e.le_obj, e.le_parent) with
-    | Some o, Some p ->
-        Clustering.note_coaccess t.clustering_ o.Object_table.base
-          p.Object_table.base
-    | _ -> ());
-    (match e.le_obj with Some o -> maybe_promote t o | None -> ());
-    if e.le_migrated then t.stats_.op_migrations <- t.stats_.op_migrations + 1
-  end
-  else
-    match e.le_obj with
-    | Some o ->
-        let alpha = t.policy_.Policy.ewma_alpha in
-        o.Object_table.ewma_misses <-
-          (alpha *. float_of_int e.le_misses)
-          +. ((1.0 -. alpha) *. o.Object_table.ewma_misses);
-        Object_table.note_op t.table_ o;
-        if e.le_write then begin
-          o.Object_table.writes <- o.Object_table.writes + 1;
-          o.Object_table.replicated <- false
-        end;
-        Ownership.charge t.ownership_ ~pid:o.Object_table.owner_pid
-          ~cycles:e.le_busy
-    | None -> ()
-
-let compare_entries a b =
-  if a.le_time <> b.le_time then compare a.le_time b.le_time
-  else if a.le_chip <> b.le_chip then compare a.le_chip b.le_chip
-  else compare a.le_seq b.le_seq
-
-let apply_window t ~wstart:_ ~wend:_ =
-  match t.shard_ with
-  | None -> ()
-  | Some sl ->
-      let nchips = Array.length sl.chip_ops in
-      for chip = 0 to nchips - 1 do
-        t.stats_.ops <- t.stats_.ops + sl.chip_ops.(chip);
-        sl.chip_ops.(chip) <- 0
-      done;
-      let total = Array.fold_left ( + ) 0 sl.nlog in
-      if total > 0 then begin
-        let scratch =
-          Array.make total
-            {
-              le_start = false;
-              le_time = 0;
-              le_chip = 0;
-              le_seq = 0;
-              le_obj = None;
-              le_parent = None;
-              le_migrated = false;
-              le_write = false;
-              le_misses = 0;
-              le_busy = 0;
-            }
-        in
-        let i = ref 0 in
-        for chip = 0 to nchips - 1 do
-          List.iter
-            (fun e ->
-              scratch.(!i) <- e;
-              incr i)
-            sl.logs.(chip);
-          sl.logs.(chip) <- [];
-          sl.nlog.(chip) <- 0
-        done;
-        Array.sort compare_entries scratch;
-        Array.iter (apply_entry t) scratch
-      end
-
-let () = apply_window_ref := apply_window
 
 let with_op t ?write addr f =
   ct_start t ?write addr;

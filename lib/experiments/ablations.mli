@@ -5,18 +5,10 @@
 
     Each ablation's independent simulation cells run through
     {!O2_runtime.Domain_pool} with [jobs] workers; [jobs = 1] is plain
-    sequential execution and results are identical whatever [jobs] is.
-
-    The ablations whose cells go through {!Harness.setup} also take
-    [shards] (default 0 = serial engine) and run every cell on the
-    windowed sharded engine when it is positive — bit-identical for any
-    [shards >= 1], not comparable with serial numbers, incompatible with
-    [obs]. {!overflow} and {!clustering} drive their engines directly and
-    stay serial. *)
+    sequential execution and results are identical whatever [jobs] is. *)
 
 val migration_cost :
   ?obs:Harness.obs ->
-  ?shards:int ->
   quick:bool ->
   jobs:int ->
   Format.formatter ->
@@ -27,7 +19,7 @@ val migration_cost :
     [obs.metrics] appends per-cell op-latency percentile columns. *)
 
 val replication :
-  ?shards:int -> quick:bool -> jobs:int -> Format.formatter -> unit
+  quick:bool -> jobs:int -> Format.formatter -> unit
 (** E7 — Section 6.2: replicate hot read-only objects vs schedule them.
     Zipf-skewed, lock-free lookups: partitioning serialises the hot head
     on its home cores; replication lets every core read its own copy. *)
@@ -43,7 +35,6 @@ val clustering : quick:bool -> jobs:int -> Format.formatter -> unit
 
 val rebalance :
   ?obs:Harness.obs ->
-  ?shards:int ->
   quick:bool ->
   jobs:int ->
   Format.formatter ->
@@ -54,12 +45,12 @@ val rebalance :
     op-latency percentile columns. *)
 
 val thread_clustering :
-  ?shards:int -> quick:bool -> jobs:int -> Format.formatter -> unit
+  quick:bool -> jobs:int -> Format.formatter -> unit
 (** E12 — Section 2/7: thread clustering cannot help when every thread
     shares every directory; O2 scheduling can. *)
 
 val op_shipping :
-  ?shards:int -> quick:bool -> jobs:int -> Format.formatter -> unit
+  quick:bool -> jobs:int -> Format.formatter -> unit
 (** E13 — Section 6.1: carry operations by active message (~240 cycles)
     instead of full thread migration (~2000). Sweeps working-set sizes and
     shows shipping extends O2's advantage to smaller objects/operations. *)

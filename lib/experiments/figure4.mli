@@ -22,7 +22,6 @@ val sweep :
   ?jobs:int ->
   ?metrics:bool ->
   ?occupancy:int ->
-  ?shards:int ->
   quick:bool ->
   oscillation:Harness.oscillation option ->
   unit ->
@@ -32,9 +31,7 @@ val sweep :
     columns. [occupancy] (a sampling interval in cycles) attaches a
     cache-observatory occupancy tracker to every cell and fills the
     [occ_*] row fields; the tracker observes only, so the points are
-    bit-identical either way. [shards] (default 0) selects the windowed
-    sharded engine for every cell; incompatible with [metrics] and
-    [occupancy]. *)
+    bit-identical either way. *)
 
 val to_series : row list -> O2_stats.Series.t * O2_stats.Series.t
 (** (with CoreTime, without CoreTime). *)
@@ -47,7 +44,6 @@ val fig4a :
   ?quick:bool ->
   ?jobs:int ->
   ?obs:Harness.obs ->
-  ?shards:int ->
   Format.formatter ->
   unit
 
@@ -55,17 +51,12 @@ val fig4b :
   ?quick:bool ->
   ?jobs:int ->
   ?obs:Harness.obs ->
-  ?shards:int ->
   Format.formatter ->
   unit
 (** [jobs] (default 1) dispatches the sweep's independent cells through a
     {!O2_runtime.Domain_pool} of that many workers; the rows are
     bit-identical whatever [jobs] is. [obs.metrics] adds per-cell latency
     columns; [obs.trace] re-runs one representative 8 MB cell with a
-    flight recorder and writes its Perfetto JSON there. [shards] (default
-    0 = serial engine) runs every cell on the windowed sharded engine
-    ({!Harness.setup}'s [shards]); sharded rows are bit-identical for any
-    [shards >= 1] but not comparable with serial rows, and sharding is
-    incompatible with the observability options. *)
+    flight recorder and writes its Perfetto JSON there. *)
 
 val oscillation_default : Harness.oscillation

@@ -5,8 +5,6 @@
     the same benchmark on {!O2_simcore.Config.future64} and compares the
     speedup band against the 16-core machine's. *)
 
-val run : ?shards:int -> quick:bool -> jobs:int -> Format.formatter -> unit
-(** [shards > 0] runs every cell on the windowed sharded engine
-    ({!O2_runtime.Engine.create_sharded}) — future64's 8 chips become 8
-    logical shards, so 64–256-core topologies stay interactive on
-    multi-core hosts. [shards = 0] (the default) uses the serial engine. *)
+val run : quick:bool -> jobs:int -> Format.formatter -> unit
+(** Every cell runs on the serial engine; [jobs] spreads the
+    independent cells over domains, as in the figure-4 sweeps. *)

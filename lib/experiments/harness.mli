@@ -60,15 +60,6 @@ type setup = {
   collect_metrics : bool;
       (** Attach a metrics-only {!O2_obs.Recorder} for the measured
           window and return its registry in [point.metrics]. *)
-  shards : int;
-      (** [0] (the default) runs the classic serial engine. [>= 1] runs
-          the windowed sharded engine
-          ({!O2_runtime.Engine.create_sharded}) with
-          [min shards chips] worker domains. Windowed results are
-          bit-identical for every [shards >= 1] but are {e not}
-          comparable with serial-engine numbers: cross-chip coherence is
-          windowed instead of instantaneous (DESIGN.md, "Sharded
-          time"). Incompatible with [collect_metrics] and [attach]. *)
 }
 
 val setup :
@@ -80,13 +71,11 @@ val setup :
   ?threads_per_core:int ->
   ?placement:int array ->
   ?collect_metrics:bool ->
-  ?shards:int ->
   O2_workload.Dir_workload.spec ->
   setup
 (** Defaults: {!O2_simcore.Config.amd16}, {!Coretime.Policy.default},
     40 M cycles warmup, 40 M measured, no oscillation, 1 thread/core,
-    no metrics, serial engine ([shards = 0]).
-    @raise Invalid_argument if [shards < 0]. *)
+    no metrics. *)
 
 val run : ?attach:(O2_runtime.Engine.t -> unit) -> setup -> point
 (** Build everything, warm up, measure, and tear down. Deterministic in

@@ -7,7 +7,6 @@ type exp = {
     quick:bool ->
     jobs:int ->
     obs:Harness.obs ->
-    shards:int ->
     Format.formatter ->
     unit;
 }
@@ -19,35 +18,35 @@ let all =
       title = "Hardware latencies: paper vs simulated machine";
       paper_ref = "Section 5, 'Hardware'";
       default_set = true;
-      run = (fun ~quick:_ ~jobs:_ ~obs:_ ~shards:_ ppf -> Latency_table.print ppf);
+      run = (fun ~quick:_ ~jobs:_ ~obs:_ ppf -> Latency_table.print ppf);
     };
     {
       id = "quickstart";
       title = "Bounded quickstart workload (flight-recorder demo)";
       paper_ref = "Figure 3";
       default_set = false;
-      run = (fun ~quick ~jobs:_ ~obs ~shards:_ ppf -> Quickstart_exp.run ~quick ~obs ppf);
+      run = (fun ~quick ~jobs:_ ~obs ppf -> Quickstart_exp.run ~quick ~obs ppf);
     };
     {
       id = "fig2";
       title = "Cache contents under thread vs O2 scheduling";
       paper_ref = "Figure 2";
       default_set = true;
-      run = (fun ~quick ~jobs ~obs:_ ~shards:_ ppf -> Fig2.fig2 ~quick ~jobs ppf);
+      run = (fun ~quick ~jobs ~obs:_ ppf -> Fig2.fig2 ~quick ~jobs ppf);
     };
     {
       id = "fig4a";
       title = "File system benchmark, uniform directory popularity";
       paper_ref = "Figure 4(a)";
       default_set = true;
-      run = (fun ~quick ~jobs ~obs ~shards ppf -> Figure4.fig4a ~quick ~jobs ~obs ~shards ppf);
+      run = (fun ~quick ~jobs ~obs ppf -> Figure4.fig4a ~quick ~jobs ~obs ppf);
     };
     {
       id = "fig4b";
       title = "File system benchmark, oscillating directory popularity";
       paper_ref = "Figure 4(b)";
       default_set = true;
-      run = (fun ~quick ~jobs ~obs ~shards ppf -> Figure4.fig4b ~quick ~jobs ~obs ~shards ppf);
+      run = (fun ~quick ~jobs ~obs ppf -> Figure4.fig4b ~quick ~jobs ~obs ppf);
     };
     {
       id = "ablation-migration";
@@ -55,8 +54,8 @@ let all =
       paper_ref = "Section 6.1";
       default_set = false;
       run =
-        (fun ~quick ~jobs ~obs ~shards ppf ->
-          Ablations.migration_cost ~obs ~shards ~quick ~jobs ppf);
+        (fun ~quick ~jobs ~obs ppf ->
+          Ablations.migration_cost ~obs ~quick ~jobs ppf);
     };
     {
       id = "ablation-replication";
@@ -64,22 +63,22 @@ let all =
       paper_ref = "Section 6.2";
       default_set = false;
       run =
-        (fun ~quick ~jobs ~obs:_ ~shards ppf ->
-          Ablations.replication ~shards ~quick ~jobs ppf);
+        (fun ~quick ~jobs ~obs:_ ppf ->
+          Ablations.replication ~quick ~jobs ppf);
     };
     {
       id = "ablation-overflow";
       title = "Working sets larger than on-chip memory";
       paper_ref = "Section 6.2";
       default_set = false;
-      run = (fun ~quick ~jobs ~obs:_ ~shards:_ ppf -> Ablations.overflow ~quick ~jobs ppf);
+      run = (fun ~quick ~jobs ~obs:_ ppf -> Ablations.overflow ~quick ~jobs ppf);
     };
     {
       id = "ablation-clustering";
       title = "Object clustering for two-object operations";
       paper_ref = "Section 6.2";
       default_set = false;
-      run = (fun ~quick ~jobs ~obs:_ ~shards:_ ppf -> Ablations.clustering ~quick ~jobs ppf);
+      run = (fun ~quick ~jobs ~obs:_ ppf -> Ablations.clustering ~quick ~jobs ppf);
     };
     {
       id = "ablation-rebalance";
@@ -87,8 +86,8 @@ let all =
       paper_ref = "Section 4";
       default_set = false;
       run =
-        (fun ~quick ~jobs ~obs ~shards ppf ->
-          Ablations.rebalance ~obs ~shards ~quick ~jobs ppf);
+        (fun ~quick ~jobs ~obs ppf ->
+          Ablations.rebalance ~obs ~quick ~jobs ppf);
     };
     {
       id = "ablation-clustering-sched";
@@ -96,8 +95,8 @@ let all =
       paper_ref = "Sections 2 and 7";
       default_set = false;
       run =
-        (fun ~quick ~jobs ~obs:_ ~shards ppf ->
-          Ablations.thread_clustering ~shards ~quick ~jobs ppf);
+        (fun ~quick ~jobs ~obs:_ ppf ->
+          Ablations.thread_clustering ~quick ~jobs ppf);
     };
     {
       id = "ablation-shipping";
@@ -105,25 +104,25 @@ let all =
       paper_ref = "Section 6.1";
       default_set = false;
       run =
-        (fun ~quick ~jobs ~obs:_ ~shards ppf ->
-          Ablations.op_shipping ~shards ~quick ~jobs ppf);
+        (fun ~quick ~jobs ~obs:_ ppf ->
+          Ablations.op_shipping ~quick ~jobs ppf);
     };
     {
       id = "btree";
       title = "B+-tree index lookups";
       paper_ref = "Sections 1 and 6.2";
       default_set = false;
-      run = (fun ~quick ~jobs:_ ~obs:_ ~shards:_ ppf -> Btree_exp.run ~quick ppf);
+      run = (fun ~quick ~jobs:_ ~obs:_ ppf -> Btree_exp.run ~quick ppf);
     };
     {
       id = "native";
       title = "Native backend: wall-clock ops/sec + simulator oracle";
       paper_ref = "Section 3, 'Implementation'";
       default_set = false;
-      (* Wall-clock, real domains: the sweep-parallelism and sharding
-         knobs don't apply, and probes stay detached. *)
+      (* Wall-clock, real domains: the sweep-parallelism knob doesn't
+         apply, and probes stay detached. *)
       run =
-        (fun ~quick ~jobs:_ ~obs:_ ~shards:_ ppf ->
+        (fun ~quick ~jobs:_ ~obs:_ ppf ->
           ignore (Native_exp.run ~quick ~domains:2 ppf));
     };
     {
@@ -132,15 +131,15 @@ let all =
       paper_ref = "Section 6.1";
       default_set = false;
       run =
-        (fun ~quick ~jobs ~obs:_ ~shards ppf ->
-          Future_multicore.run ~shards ~quick ~jobs ppf);
+        (fun ~quick ~jobs ~obs:_ ppf ->
+          Future_multicore.run ~quick ~jobs ppf);
     };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 let ids () = List.map (fun e -> e.id) all
 
-let run_ids ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf requested =
+let run_ids ?(obs = Harness.no_obs) ~quick ~jobs ppf requested =
   match List.filter (fun id -> Option.is_none (find id)) requested with
   | _ :: _ as unknown ->
       Error
@@ -152,5 +151,5 @@ let run_ids ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf requested =
         if requested = [] then List.filter (fun e -> e.default_set) all
         else List.filter (fun e -> List.mem e.id requested) all
       in
-      List.iter (fun e -> e.run ~quick ~jobs ~obs ~shards ppf) selected;
+      List.iter (fun e -> e.run ~quick ~jobs ~obs ppf) selected;
       Ok ()

@@ -1,8 +1,8 @@
 (* The raw-primitive shim of lib/native: every Domain / Mutex /
    Condition use in the native backend lives here, beside the effect
    handler that interprets Api shipping on real domains — the same
-   confinement discipline as Domain_pool and Shard_sync (o2staticcheck's
-   raw-primitive allowlist names exactly these three files).
+   confinement discipline as Domain_pool (o2staticcheck's raw-primitive
+   allowlist names exactly these two files).
 
    Park/wake protocol: posts increment [epoch] (then broadcast iff a
    sleeper is advertised); a worker records the epoch BEFORE its final

@@ -26,16 +26,6 @@ type core_state = {
   mutable idle_since : int;  (* -1 when not idle *)
 }
 
-(* The sharded (windowed) engine is a set of per-chip engines — each with
-   its own event queue, machine shard view and outbox — plus one "facade"
-   engine that owns global state (thread ids, control events, the window
-   cursor) and is the handle harness code drives. All of them share the
-   [cores_] array: a chip engine only ever touches its own cores during a
-   window, and the coordinator runs the barrier's serial phase alone.
-
-   The logical partition is ALWAYS one shard per chip, whatever the domain
-   count: [--shards N] only chooses how many domains execute the fixed
-   per-chip work, which is why results are bit-identical for any N. *)
 type t = {
   machine : Machine.t;
   cores_ : core_state array;
@@ -46,30 +36,15 @@ type t = {
   mutable events : int;
   mutable live : int;
   mutable nondaemon_pending : int;
-  mutable shard : shard option;  (* None = classic serial engine *)
 }
-
-and shard = {
-  chip : int;  (* -1 on the facade *)
-  facade : t;
-  mutable members : t array;  (* per-chip engines, index = chip *)
-  delta : int;  (* conservative window Δ = Config.sync_window *)
-  domains : int;  (* worker domains incl. the coordinator (facade) *)
-  chip_of : int -> int;
-  outbox : Shard_sync.Outbox.t;  (* chip engines: outbound messages *)
-  mutable wstart : int;  (* facade: current window start (multiple of Δ) *)
-  mutable hooks : (wstart:int -> wend:int -> unit) list;  (* facade *)
-}
-
-let mk_cores n =
-  Array.init n (fun cid ->
-      { cid; clock = 0; runq = Queue.create (); busy = false; idle_since = 0 })
 
 let create machine =
   let n = Config.cores (Machine.cfg machine) in
   {
     machine;
-    cores_ = mk_cores n;
+    cores_ =
+      Array.init n (fun cid ->
+          { cid; clock = 0; runq = Queue.create (); busy = false; idle_since = 0 });
     queue = Event_queue.create ();
     probe_ = Probe.create ();
     last_time = 0;
@@ -77,61 +52,7 @@ let create machine =
     events = 0;
     live = 0;
     nondaemon_pending = 0;
-    shard = None;
   }
-
-let create_sharded machine ~shards =
-  if shards < 1 then invalid_arg "Engine.create_sharded: shards must be >= 1";
-  if Machine.shard_chip machine >= 0 then
-    invalid_arg "Engine.create_sharded: machine is already a shard view";
-  if Machine.observed machine then
-    invalid_arg "Engine.create_sharded: cache observers are not supported";
-  let cfg = Machine.cfg machine in
-  let nchips = cfg.Config.chips in
-  let delta = Config.sync_window cfg in
-  (* Oversubscribed shard counts are pure overhead — domains spinning at
-     window barriers with no parallelism underneath (measurably slower
-     than shards=1 on a 1-core host) — so clamp to the cores actually
-     available, with the same logged warning --jobs gets. *)
-  let domains = max 1 (min (Domain_pool.clamped ~what:"shards" shards) nchips) in
-  let facade = create machine in
-  let chip_of = Config.chip_of_core cfg in
-  let mk_shard chip =
-    {
-      chip;
-      facade;
-      members = [||];
-      delta;
-      domains;
-      chip_of;
-      outbox = Shard_sync.Outbox.create ();
-      wstart = 0;
-      hooks = [];
-    }
-  in
-  let members =
-    Array.init nchips (fun chip ->
-        {
-          machine = Machine.shard_view machine ~chip;
-          cores_ = facade.cores_;
-          queue = Event_queue.create ();
-          probe_ = Probe.create ();
-          last_time = 0;
-          next_thread_id = 0;
-          events = 0;
-          live = 0;
-          nondaemon_pending = 0;
-          shard = Some (mk_shard chip);
-        })
-  in
-  let fshard = mk_shard (-1) in
-  fshard.members <- members;
-  Array.iter
-    (fun m ->
-      match m.shard with Some s -> s.members <- members | None -> assert false)
-    members;
-  facade.shard <- Some fshard;
-  facade
 
 let machine t = t.machine
 let probe t = t.probe_
@@ -139,34 +60,8 @@ let cores t = Array.length t.cores_
 let now t = t.last_time
 let core_clock t c = t.cores_.(c).clock
 let runq_length t c = Queue.length t.cores_.(c).runq
-
-let is_sharded t = t.shard <> None
-
-let shards t = match t.shard with None -> 0 | Some s -> s.domains
-
-let on_barrier t hook =
-  match t.shard with
-  | Some s when s.chip < 0 -> s.hooks <- s.hooks @ [ hook ]
-  | _ -> invalid_arg "Engine.on_barrier: not a sharded facade engine"
-
-(* Global stats sum over the facade and every chip engine. *)
-let sum_members t f =
-  match t.shard with
-  | None -> f t
-  | Some s -> Array.fold_left (fun acc m -> acc + f m) (f t) s.members
-
-let events_processed t = sum_members t (fun e -> e.events)
-let live_threads t = sum_members t (fun e -> e.live)
-
-(* The engine responsible for [core]'s events right now: the per-chip
-   engine under sharding, [t] itself otherwise. Effect handlers resolve
-   through this on every effect, because a thread may have migrated to a
-   core owned by a different chip engine since it was spawned. *)
-let cur t core =
-  match t.shard with None -> t | Some s -> s.members.(s.chip_of core)
-
-(* The engine owning global thread bookkeeping (ids, spawn-side live). *)
-let owner t = match t.shard with None -> t | Some s -> s.facade
+let events_processed t = t.events
+let live_threads t = t.live
 
 let schedule t ~time ev =
   if not (is_daemon ev) then t.nondaemon_pending <- t.nondaemon_pending + 1;
@@ -196,11 +91,7 @@ exception Not_lock_owner of string
 
 (* Shared movement machinery for thread migration and active-message
    operation shipping: charge [send] on the source, free it, land on the
-   target [wire] cycles later, charge [land_] there, resume. [t] must be
-   the engine owning the thread's current core. Cross-chip movement under
-   sharding posts the arrival through the outbox instead of scheduling it
-   directly; [wire >= Δ] (guaranteed by Config.sync_window) keeps the
-   arrival outside the current window. *)
+   target [wire] cycles later, charge [land_] there, resume. *)
 let move_thread t th ~target ~send ~wire ~land_ k =
   let open Effect.Deep in
   if target < 0 || target >= Array.length t.cores_ then
@@ -210,24 +101,10 @@ let move_thread t th ~target ~send ~wire ~land_ k =
   if target = src then
     schedule t ~time:cs.clock (Run (src, fun () -> continue k ()))
   else begin
-    (* A cross-chip move must not touch the destination's counters from
-       the source chip's domain: its owner may be mid-window on another
-       domain, and two senders (or the sender and an intra-chip move)
-       would race on the same field. [migrations_out] stays send-side;
-       [migrations_in] is charged inside [land_on], which runs on the
-       destination chip's domain at arrival. Serial and same-chip moves
-       keep the original send-time accounting. *)
-    let cross =
-      match t.shard with
-      | Some s -> s.chip_of target <> s.chip
-      | None -> false
-    in
     let csrc = Machine.counters t.machine src in
     csrc.Counters.migrations_out <- csrc.Counters.migrations_out + 1;
-    if not cross then begin
-      let cdst = Machine.counters t.machine target in
-      cdst.Counters.migrations_in <- cdst.Counters.migrations_in + 1
-    end;
+    let cdst = Machine.counters t.machine target in
+    cdst.Counters.migrations_in <- cdst.Counters.migrations_in + 1;
     th.Thread.migrations <- th.Thread.migrations + 1;
     if Probe.active t.probe_ then
       Probe.emit t.probe_
@@ -243,55 +120,34 @@ let move_thread t th ~target ~send ~wire ~land_ k =
     let depart = cs.clock + send in
     schedule t ~time:depart (Release src);
     th.Thread.core <- target;
-    let arrive = depart + wire in
-    let land_on tgt =
-      {
-        thread = th;
-        run =
-          (fun () ->
-            if cross then begin
-              let cdst = Machine.counters tgt.machine target in
-              cdst.Counters.migrations_in <- cdst.Counters.migrations_in + 1
-            end;
-            th.Thread.state <- Thread.Runnable;
-            let cst = tgt.cores_.(target) in
-            charge_busy tgt target land_;
-            schedule tgt ~time:(cst.clock + land_)
-              (Run (target, fun () -> continue k ())));
-      }
-    in
-    match t.shard with
-    | Some s when s.chip_of target <> s.chip ->
-        let tgt = s.members.(s.chip_of target) in
-        Shard_sync.Outbox.push s.outbox ~arrive (fun () ->
-            schedule tgt ~time:arrive (Arrive (target, land_on tgt)))
-    | _ -> schedule t ~time:arrive (Arrive (target, land_on t))
+    schedule t ~time:(depart + wire)
+      (Arrive
+         ( target,
+           {
+             thread = th;
+             run =
+               (fun () ->
+                 th.Thread.state <- Thread.Runnable;
+                 let cst = t.cores_.(target) in
+                 charge_busy t target land_;
+                 schedule t ~time:(cst.clock + land_)
+                   (Run (target, fun () -> continue k ())));
+           } ))
   end
-
-(* Which chip arbitrates a lock under sharding: the home chip of its
-   address. Recomputed on demand — it is two integer divisions on the
-   immutable topology, and caching it on the lock would be a write to
-   shared lock state from the requester's domain, breaking the rule that
-   only the home chip touches a lock. *)
-let lock_home t l =
-  Topology.home_chip (Machine.topology t.machine) ~addr:l.Spinlock.addr
 
 (* The effect interpreter for one thread. Handlers never resume
    continuations synchronously for timed operations: they compute the
    cost, mutate machine state at the current virtual time (legal because
    the engine always runs the minimum-clock event first), and schedule the
-   resumption. Every case re-resolves the current engine from the thread's
-   core: under sharding the thread may be running on a different chip
-   engine than the one that spawned it. *)
-let handler t0 th =
+   resumption. *)
+let handler t th =
   let open Effect.Deep in
-  let cfg = Machine.cfg t0.machine in
+  let cfg = Machine.cfg t.machine in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     function
     | Api.Read { addr; len } ->
         Some
           (fun k ->
-            let t = cur t0 th.Thread.core in
             let cs = t.cores_.(th.Thread.core) in
             if Probe.active t.probe_ then
               Probe.emit t.probe_
@@ -314,7 +170,6 @@ let handler t0 th =
     | Api.Write { addr; len } ->
         Some
           (fun k ->
-            let t = cur t0 th.Thread.core in
             let cs = t.cores_.(th.Thread.core) in
             if Probe.active t.probe_ then
               Probe.emit t.probe_
@@ -337,7 +192,6 @@ let handler t0 th =
     | Api.Compute cycles ->
         Some
           (fun k ->
-            let t = cur t0 th.Thread.core in
             let cs = t.cores_.(th.Thread.core) in
             let cycles = max cycles 0 in
             charge_busy t th.Thread.core cycles;
@@ -346,9 +200,7 @@ let handler t0 th =
     | Api.Lock_acquire l ->
         Some
           (fun k ->
-            let t = cur t0 th.Thread.core in
-            let core = th.Thread.core in
-            let cs = t.cores_.(core) in
+            let cs = t.cores_.(th.Thread.core) in
             let acquire_word ~now0 ~contended =
               (* Taking the lock writes its line (read-for-ownership). *)
               l.Spinlock.acquisitions <- l.Spinlock.acquisitions + 1;
@@ -374,189 +226,78 @@ let handler t0 th =
               schedule t ~time:(now0 + cost)
                 (Run (th.Thread.core, fun () -> continue k ()))
             in
-            match t.shard with
-            | Some s when lock_home t l <> s.chip ->
-                (* Cross-chip acquire: the lock's home chip arbitrates.
-                   The request reaches it Δ after the attempt; the grant
-                   travels back Δ after it is issued — an uncontended
-                   remote acquisition costs a 2Δ round trip, the windowed
-                   analogue of bouncing the lock line between chips. All
-                   lock state is touched only by the home chip. *)
-                let attempt = cs.clock in
+            match l.Spinlock.owner with
+            | None ->
+                l.Spinlock.owner <- Some th.Thread.id;
+                acquire_word ~now0:cs.clock ~contended:false
+            | Some _ ->
+                l.Spinlock.contended <- l.Spinlock.contended + 1;
                 th.Thread.state <- Thread.Spinning;
-                let home = s.members.(lock_home t l) in
-                let req_engine = t in
-                let grant gtime =
-                  (* Runs on the home chip's domain — at arrival for an
-                     uncontended acquire, at hand-off when granted by a
-                     release — so lock state is safe to touch here. *)
-                  l.Spinlock.acquisitions <- l.Spinlock.acquisitions + 1;
-                  let hs =
-                    match home.shard with Some hs -> hs | None -> assert false
-                  in
-                  let back = gtime + hs.delta in
-                  Shard_sync.Outbox.push hs.outbox ~arrive:back (fun () ->
-                      schedule req_engine ~time:back
-                        (Run
-                           ( th.Thread.core,
-                             fun () ->
-                               let cs = req_engine.cores_.(th.Thread.core) in
-                               th.Thread.state <- Thread.Runnable;
-                               let c =
-                                 Machine.counters req_engine.machine
-                                   th.Thread.core
-                               in
-                               c.Counters.spin_cycles <-
-                                 c.Counters.spin_cycles + (cs.clock - attempt);
-                               let cost =
-                                 Machine.write req_engine.machine
-                                   ~core:th.Thread.core ~now:cs.clock
-                                   ~addr:l.Spinlock.addr ~len:8
-                               in
-                               charge_busy req_engine th.Thread.core cost;
-                               schedule req_engine ~time:(cs.clock + cost)
-                                 (Run (th.Thread.core, fun () -> continue k ()))
-                           )))
-                in
-                let arrive = attempt + s.delta in
-                Shard_sync.Outbox.push s.outbox ~arrive (fun () ->
-                    schedule home ~time:arrive
-                      (Control
-                         {
-                           daemon = false;
-                           f =
-                             (fun ~now ->
-                               match l.Spinlock.owner with
-                               | None ->
-                                   l.Spinlock.owner <- Some th.Thread.id;
-                                   grant now
-                               | Some _ ->
-                                   l.Spinlock.contended <-
-                                     l.Spinlock.contended + 1;
-                                   Queue.add
-                                     { Spinlock.thread = th; attempt; grant }
-                                     l.Spinlock.waiters);
-                         }))
-            | _ -> (
-                match l.Spinlock.owner with
-                | None ->
-                    l.Spinlock.owner <- Some th.Thread.id;
-                    acquire_word ~now0:cs.clock ~contended:false
-                | Some _ ->
-                    l.Spinlock.contended <- l.Spinlock.contended + 1;
-                    th.Thread.state <- Thread.Spinning;
-                    let attempt = cs.clock in
-                    Queue.add
-                      {
-                        Spinlock.thread = th;
-                        attempt;
-                        grant =
-                          (fun gtime ->
-                            (* Ownership was transferred at release time; we
-                               resume on the waiter's core, charge the wait as
-                               spin cycles, then pay for the lock-word write. *)
-                            schedule t ~time:gtime
-                              (Run
-                                 ( th.Thread.core,
-                                   fun () ->
-                                     let cs = t.cores_.(th.Thread.core) in
-                                     th.Thread.state <- Thread.Runnable;
-                                     let c =
-                                       Machine.counters t.machine th.Thread.core
-                                     in
-                                     c.Counters.spin_cycles <-
-                                       c.Counters.spin_cycles
-                                       + (cs.clock - attempt);
-                                     acquire_word ~now0:cs.clock ~contended:true
-                                 )));
-                      }
-                      l.Spinlock.waiters))
+                let attempt = cs.clock in
+                Queue.add
+                  {
+                    Spinlock.thread = th;
+                    attempt;
+                    grant =
+                      (fun gtime ->
+                        (* Ownership was transferred at release time; we
+                           resume on the waiter's core, charge the wait as
+                           spin cycles, then pay for the lock-word write. *)
+                        schedule t ~time:gtime
+                          (Run
+                             ( th.Thread.core,
+                               fun () ->
+                                 let cs = t.cores_.(th.Thread.core) in
+                                 th.Thread.state <- Thread.Runnable;
+                                 let c =
+                                   Machine.counters t.machine th.Thread.core
+                                 in
+                                 c.Counters.spin_cycles <-
+                                   c.Counters.spin_cycles + (cs.clock - attempt);
+                                 acquire_word ~now0:cs.clock ~contended:true )));
+                  }
+                  l.Spinlock.waiters)
     | Api.Lock_release l ->
         Some
           (fun k ->
-            let t = cur t0 th.Thread.core in
             let cs = t.cores_.(th.Thread.core) in
-            let emit_release () =
-              if Probe.active t.probe_ then
-                Probe.emit t.probe_
-                  (Probe.Lock_released
-                     {
-                       time = cs.clock;
-                       core = th.Thread.core;
-                       tid = th.Thread.id;
-                       lock =
-                         {
-                           Probe.lock_name = l.Spinlock.name;
-                           lock_addr = l.Spinlock.addr;
-                         };
-                     })
+            if l.Spinlock.owner <> Some th.Thread.id then
+              raise
+                (Not_lock_owner
+                   (Printf.sprintf "thread %d releasing %s it does not hold"
+                      th.Thread.id l.Spinlock.name));
+            if Probe.active t.probe_ then
+              Probe.emit t.probe_
+                (Probe.Lock_released
+                   {
+                     time = cs.clock;
+                     core = th.Thread.core;
+                     tid = th.Thread.id;
+                     lock =
+                       {
+                         Probe.lock_name = l.Spinlock.name;
+                         lock_addr = l.Spinlock.addr;
+                       };
+                   });
+            let cost =
+              Machine.write t.machine ~core:th.Thread.core ~now:cs.clock
+                ~addr:l.Spinlock.addr ~len:8
             in
-            match t.shard with
-            | Some s when lock_home t l <> s.chip ->
-                (* Cross-chip release: pay for the lock-word write locally
-                   and continue; the home chip processes the release Δ
-                   later and hands the lock to the next waiter (whose
-                   grant travels another Δ). Ownership is checked at the
-                   home, the only place it is authoritative. *)
-                emit_release ();
-                let cost =
-                  Machine.write t.machine ~core:th.Thread.core ~now:cs.clock
-                    ~addr:l.Spinlock.addr ~len:8
-                in
-                charge_busy t th.Thread.core cost;
-                let released_at = cs.clock + cost in
-                let home = s.members.(lock_home t l) in
-                let arrive = released_at + s.delta in
-                Shard_sync.Outbox.push s.outbox ~arrive (fun () ->
-                    schedule home ~time:arrive
-                      (Control
-                         {
-                           daemon = false;
-                           f =
-                             (fun ~now ->
-                               if l.Spinlock.owner <> Some th.Thread.id then
-                                 raise
-                                   (Not_lock_owner
-                                      (Printf.sprintf
-                                         "thread %d releasing %s it does not \
-                                          hold"
-                                         th.Thread.id l.Spinlock.name));
-                               match Queue.take_opt l.Spinlock.waiters with
-                               | Some w ->
-                                   l.Spinlock.owner <-
-                                     Some w.Spinlock.thread.Thread.id;
-                                   w.Spinlock.grant now
-                               | None -> l.Spinlock.owner <- None);
-                         }));
-                schedule t ~time:released_at
-                  (Run (th.Thread.core, fun () -> continue k ()))
-            | _ ->
-                if l.Spinlock.owner <> Some th.Thread.id then
-                  raise
-                    (Not_lock_owner
-                       (Printf.sprintf "thread %d releasing %s it does not hold"
-                          th.Thread.id l.Spinlock.name));
-                emit_release ();
-                let cost =
-                  Machine.write t.machine ~core:th.Thread.core ~now:cs.clock
-                    ~addr:l.Spinlock.addr ~len:8
-                in
-                charge_busy t th.Thread.core cost;
-                let released_at = cs.clock + cost in
-                (match Queue.take_opt l.Spinlock.waiters with
-                | Some w ->
-                    (* Direct hand-off: no steal window between release and
-                       the waiter's resumption. *)
-                    l.Spinlock.owner <- Some w.Spinlock.thread.Thread.id;
-                    w.Spinlock.grant released_at
-                | None -> l.Spinlock.owner <- None);
-                schedule t ~time:released_at
-                  (Run (th.Thread.core, fun () -> continue k ())))
+            charge_busy t th.Thread.core cost;
+            let released_at = cs.clock + cost in
+            (match Queue.take_opt l.Spinlock.waiters with
+            | Some w ->
+                (* Direct hand-off: no steal window between release and
+                   the waiter's resumption. *)
+                l.Spinlock.owner <- Some w.Spinlock.thread.Thread.id;
+                w.Spinlock.grant released_at
+            | None -> l.Spinlock.owner <- None);
+            schedule t ~time:released_at
+              (Run (th.Thread.core, fun () -> continue k ())))
     | Api.Migrate_to target ->
         Some
           (fun k ->
-            move_thread (cur t0 th.Thread.core) th ~target
-              ~send:cfg.Config.migration_save
+            move_thread t th ~target ~send:cfg.Config.migration_save
               ~wire:(cfg.Config.migration_xfer + (cfg.Config.poll_interval / 2))
               ~land_:cfg.Config.migration_restore k)
     | Api.Ship_to target ->
@@ -564,27 +305,23 @@ let handler t0 th =
            crosses; no context save/restore, no polling delay. *)
         Some
           (fun k ->
-            move_thread (cur t0 th.Thread.core) th ~target
-              ~send:cfg.Config.amsg_send ~wire:cfg.Config.amsg_wire
-              ~land_:cfg.Config.amsg_dispatch k)
+            move_thread t th ~target ~send:cfg.Config.amsg_send
+              ~wire:cfg.Config.amsg_wire ~land_:cfg.Config.amsg_dispatch k)
     | Api.Yield ->
         Some
           (fun k ->
-            let t = cur t0 th.Thread.core in
             let cs = t.cores_.(th.Thread.core) in
             Queue.add { thread = th; run = (fun () -> continue k ()) } cs.runq;
             schedule t ~time:cs.clock (Release th.Thread.core))
     | Api.Self -> Some (fun k -> continue k th)
-    | Api.Now -> Some (fun k -> continue k t0.cores_.(th.Thread.core).clock)
+    | Api.Now -> Some (fun k -> continue k t.cores_.(th.Thread.core).clock)
     | _ -> None
   in
   {
     retc =
       (fun () ->
-        let t = cur t0 th.Thread.core in
         th.Thread.state <- Thread.Finished;
-        let ow = owner t in
-        ow.live <- ow.live - 1;
+        t.live <- t.live - 1;
         if Probe.active t.probe_ then
           Probe.emit t.probe_
             (Probe.Thread_finished
@@ -601,34 +338,19 @@ let handler t0 th =
 
 let spawn t ~core ~name body =
   if core < 0 || core >= cores t then invalid_arg "Engine.spawn: bad core";
-  let ow = owner t in
-  let th = Thread.make ~id:ow.next_thread_id ~name ~core in
-  ow.next_thread_id <- ow.next_thread_id + 1;
-  ow.live <- ow.live + 1;
-  let et = cur t core in
-  let cs = et.cores_.(core) in
-  (* Under sharding, a thread spawned mid-run (from a facade control
-     event in the barrier's serial phase) must not start inside a window
-     the chips have already executed: if its chip has been idle, the chip
-     engine's last_time and core clock lag the window cursor, and the
-     thread's first cross-chip effect would arrive inside a closed window
-     and trip the outbox conservatism check. Clamp the dispatch time to
-     the facade's window cursor, which during the serial phase is the
-     start of the next window to run (0 before the run starts, so
-     setup-time spawns are unaffected). *)
-  let start =
-    let base = max et.last_time cs.clock in
-    match ow.shard with Some s -> max base s.wstart | None -> base
-  in
-  if Probe.active ow.probe_ then
-    Probe.emit ow.probe_
-      (Probe.Thread_spawned
-         { time = max ow.last_time start; core; tid = th.Thread.id; name });
+  let th = Thread.make ~id:t.next_thread_id ~name ~core in
+  t.next_thread_id <- t.next_thread_id + 1;
+  t.live <- t.live + 1;
+  let cs = t.cores_.(core) in
+  let start = max t.last_time cs.clock in
+  if Probe.active t.probe_ then
+    Probe.emit t.probe_
+      (Probe.Thread_spawned { time = start; core; tid = th.Thread.id; name });
   let r =
-    { thread = th; run = (fun () -> Effect.Deep.match_with body () (handler et th)) }
+    { thread = th; run = (fun () -> Effect.Deep.match_with body () (handler t th)) }
   in
   Queue.add r cs.runq;
-  schedule et ~time:start (Poke core);
+  schedule t ~time:start (Poke core);
   th
 
 let at t ~time f =
@@ -675,7 +397,7 @@ let step t time ev =
       if not cs.busy then dispatch t cs
   | Control { f; _ } -> f ~now:time
 
-let serial_run ?until ?stop_when t =
+let run ?until ?stop_when t =
   let stop = match stop_when with Some f -> f | None -> fun () -> false in
   let horizon = match until with Some u -> u | None -> max_int in
   let continue_ =
@@ -704,232 +426,6 @@ let serial_run ?until ?stop_when t =
       end
     end
   done
-
-(* ------------------------------------------------------------------ *)
-(* Windowed sharded run. All helpers are top-level so the steady-state
-   per-window loop allocates nothing (pinned by suite_hotpath).         *)
-
-(* Drain one chip's events with time <= stop, in (time, seq) order. *)
-let rec chip_loop t ~stop =
-  if not (Event_queue.is_empty t.queue) then begin
-    let time = Event_queue.min_time t.queue in
-    if time <= stop then begin
-      let ev = Event_queue.pop_min t.queue in
-      if not (is_daemon ev) then t.nondaemon_pending <- t.nondaemon_pending - 1;
-      step t time ev;
-      chip_loop t ~stop
-    end
-  end
-
-let rec run_chip_range members ~lo ~hi ~stop =
-  if lo < hi then begin
-    chip_loop members.(lo) ~stop;
-    run_chip_range members ~lo:(lo + 1) ~hi ~stop
-  end
-
-(* Facade control events due strictly before the new window start run in
-   the barrier's serial phase, in (time, seq) order. *)
-let rec pump_facade t ~wend =
-  if not (Event_queue.is_empty t.queue) then begin
-    let time = Event_queue.min_time t.queue in
-    if time < wend then begin
-      let ev = Event_queue.pop_min t.queue in
-      if not (is_daemon ev) then t.nondaemon_pending <- t.nondaemon_pending - 1;
-      step t time ev;
-      pump_facade t ~wend
-    end
-  end
-
-let rec run_hooks hooks ~wstart ~wend =
-  match hooks with
-  | [] -> ()
-  | h :: rest ->
-      h ~wstart ~wend;
-      run_hooks rest ~wstart ~wend
-
-(* The barrier's serial phase: executed by the coordinator alone, with
-   every worker quiescent. Order is load-bearing — see Machine's shard_*
-   docs: messages first (they schedule next-window events), then presence
-   replay and DRAM absorption, then clears, then invalidations (whose
-   presence clears land in next-window logs), then registered hooks
-   (CoreTime's merged op logs), then facade control events of the closed
-   window (the rebalancer runs over fully merged state). *)
-let barrier_merge t s ~wend =
-  let members = s.members in
-  let nm = Array.length members in
-  let wstart = wend - s.delta in
-  for c = 0 to nm - 1 do
-    match members.(c).shard with
-    | Some ms ->
-        if not (Shard_sync.Outbox.is_empty ms.outbox) then
-          Shard_sync.Outbox.drain ms.outbox ~deadline:wend
-    | None -> ()
-  done;
-  for src = 0 to nm - 1 do
-    if not (Machine.shard_outbox_empty members.(src).machine) then
-      for dst = 0 to nm - 1 do
-        if dst <> src then
-          Machine.shard_replay_presence members.(dst).machine
-            ~src:members.(src).machine
-      done
-  done;
-  for src = 0 to nm - 1 do
-    for dst = 0 to nm - 1 do
-      if dst <> src then
-        Machine.shard_absorb_dram members.(dst).machine
-          ~src:members.(src).machine ~window_start:wstart
-    done
-  done;
-  for c = 0 to nm - 1 do
-    Machine.shard_clear_plog_and_dram members.(c).machine
-  done;
-  for src = 0 to nm - 1 do
-    for dst = 0 to nm - 1 do
-      if dst <> src then
-        Machine.shard_apply_invals members.(dst).machine
-          ~src:members.(src).machine
-    done
-  done;
-  for c = 0 to nm - 1 do
-    Machine.shard_clear_ilog members.(c).machine
-  done;
-  run_hooks s.hooks ~wstart ~wend;
-  pump_facade t ~wend
-
-let rec sum_nondaemon members i acc =
-  if i >= Array.length members then acc
-  else sum_nondaemon members (i + 1) (acc + members.(i).nondaemon_pending)
-
-let rec any_outbox members i =
-  i < Array.length members
-  &&
-  match members.(i).shard with
-  | Some ms ->
-      (not (Shard_sync.Outbox.is_empty ms.outbox)) || any_outbox members (i + 1)
-  | None -> any_outbox members (i + 1)
-
-let rec min_event_time members i acc =
-  if i >= Array.length members then acc
-  else
-    let m = members.(i) in
-    let acc =
-      if Event_queue.is_empty m.queue then acc
-      else min acc (Event_queue.min_time m.queue)
-    in
-    min_event_time members (i + 1) acc
-
-let sharded_run ?until ?stop_when t s =
-  if stop_when <> None then
-    invalid_arg "Engine.run: stop_when is not supported on a sharded engine";
-  let horizon = match until with Some u -> u | None -> max_int in
-  let members = s.members in
-  let nchips = Array.length members in
-  let d = s.domains in
-  let base = nchips / d and rem = nchips mod d in
-  let lo p = (p * base) + min p rem in
-  let hi p = lo (p + 1) in
-  let barrier =
-    if d > 1 then Some (Shard_sync.Barrier.create ~workers:(d - 1)) else None
-  in
-  let werr = Atomic.make None in
-  let workers =
-    match barrier with
-    | None -> [||]
-    | Some b ->
-        Array.init (d - 1) (fun i ->
-            Shard_sync.Domains.spawn (fun () ->
-                let p = i + 1 in
-                let rec wloop seen =
-                  let round, stop = Shard_sync.Barrier.wait_round b ~seen in
-                  if stop <> Shard_sync.Barrier.exit_round then begin
-                    (try run_chip_range members ~lo:(lo p) ~hi:(hi p) ~stop
-                     with e ->
-                       ignore (Atomic.compare_and_set werr None (Some e)));
-                    Shard_sync.Barrier.worker_done b ~worker:i ~round;
-                    wloop round
-                  end
-                in
-                wloop 0))
-  in
-  let rounds = ((ref 0) [@alloc_ok "once per run call"]) in
-  let continue_ = ((ref true) [@alloc_ok "once per run call"]) in
-  let finish () =
-    (match barrier with
-    | Some b ->
-        Shard_sync.Barrier.shutdown b;
-        Array.iter Shard_sync.Domains.join workers
-    | None -> ());
-    match Atomic.get werr with Some e -> raise e | None -> ()
-  in
-  (try
-     while !continue_ do
-       let wend = s.wstart + s.delta in
-       let nondaemon = t.nondaemon_pending + sum_nondaemon members 0 0 in
-       let inflight = any_outbox members 0 in
-       if nondaemon = 0 && not inflight then begin
-         (* Natural termination: every queue drained mid-window. Flush
-            the barrier hooks so deferred per-window state (CoreTime's
-            op logs) is applied before the caller reads it. *)
-         run_hooks s.hooks ~wstart:s.wstart ~wend;
-         continue_ := false
-       end
-       else begin
-         let next_t =
-           min_event_time members 0
-             (if Event_queue.is_empty t.queue then max_int
-              else Event_queue.min_time t.queue)
-         in
-         if (not inflight) && next_t > horizon then begin
-           t.last_time <- max t.last_time horizon;
-           continue_ := false
-         end
-         else if (not inflight) && next_t >= wend then
-           (* Nothing due this window and nothing to deliver at its end:
-              jump the window cursor to the window containing the next
-              event. Mirrors are unchanged by construction (no traffic). *)
-           s.wstart <- s.wstart + ((next_t - s.wstart) / s.delta * s.delta)
-         else begin
-           let stop = min (wend - 1) horizon in
-           (match barrier with
-           | Some b ->
-               incr rounds;
-               Shard_sync.Barrier.post_round b ~stop
-           | None -> ());
-           run_chip_range members ~lo:(lo 0) ~hi:(hi 0) ~stop;
-           (match barrier with
-           | Some b -> Shard_sync.Barrier.wait_workers b ~round:!rounds
-           | None -> ());
-           (match Atomic.get werr with Some e -> raise e | None -> ());
-           if stop < wend - 1 then begin
-             (* The horizon pauses the run mid-window; a later [run]
-                resumes the same window before the next barrier. *)
-             t.last_time <- max t.last_time horizon;
-             continue_ := false
-           end
-           else begin
-             (* Advance the cursor BEFORE the serial phase: facade
-                control events run inside [barrier_merge] (pump_facade),
-                and anything they schedule — notably [spawn] — clamps
-                against the cursor, which must already name the next
-                window to execute. *)
-             s.wstart <- wend;
-             barrier_merge t s ~wend;
-             t.last_time <- max t.last_time (wend - 1)
-           end
-         end
-       end
-     done
-   with e ->
-     (try finish () with _ -> ());
-     raise e);
-  finish ();
-  if until <> None then t.last_time <- max t.last_time horizon
-
-let run ?until ?stop_when t =
-  match t.shard with
-  | None -> serial_run ?until ?stop_when t
-  | Some s when s.chip < 0 -> sharded_run ?until ?stop_when t s
-  | Some _ -> invalid_arg "Engine.run: chip shards run via their facade"
 
 let finalize_idle t =
   Array.iter

@@ -21,36 +21,8 @@ exception Not_lock_owner of string
 
 val create : O2_simcore.Machine.t -> t
 
-val create_sharded : O2_simcore.Machine.t -> shards:int -> t
-(** A windowed engine sharding the cell by chip (see DESIGN.md, "Sharded
-    time"). Every chip gets its own event queue, machine shard view and
-    outbox, and advances independently inside conservative windows
-    [T, T+Δ) with Δ = {!O2_simcore.Config.sync_window}; cross-chip
-    effects (presence updates, invalidations, DRAM contention, migration
-    and shipping arrivals, lock messages) apply at the window barrier.
-    [shards] only chooses how many domains execute the fixed per-chip
-    work — [min shards chips] domains are used — so results are
-    bit-identical for every [shards >= 1].
-
-    The returned facade engine is the handle for {!spawn}/{!at}/{!run};
-    probes must stay inactive and cache observers are unsupported.
-    @raise Invalid_argument if [shards < 1], if [machine] is itself a
-    shard view, or if it has cache observers attached. *)
-
 val machine : t -> O2_simcore.Machine.t
 val cores : t -> int
-
-val is_sharded : t -> bool
-
-val shards : t -> int
-(** Worker domains a {!run} call uses: 0 on a serial engine, the clamped
-    domain count on a sharded facade. *)
-
-val on_barrier : t -> (wstart:int -> wend:int -> unit) -> unit
-(** Register a hook running in the barrier's serial phase after machine
-    state is merged, once per completed window [\[wstart, wend)].
-    CoreTime uses this to merge and apply per-chip operation logs.
-    @raise Invalid_argument on a non-sharded engine. *)
 
 val probe : t -> Probe.t
 (** The engine's observation hooks: every memory access, lock transfer and
@@ -76,13 +48,7 @@ val every : t -> period:int -> ?start:int -> (now:int -> unit) -> unit
 val run : ?until:int -> ?stop_when:(unit -> bool) -> t -> unit
 (** Process events until only daemon events remain, the next event is past
     [until] (virtual cycles), or [stop_when ()] becomes true (checked after
-    every event). The engine can be [run] again afterwards to continue.
-
-    On a sharded facade this drives the windowed loop instead: worker
-    domains are spawned per call and joined before it returns, a horizon
-    mid-window pauses without running the barrier (a later [run] resumes
-    the same window), and [stop_when] is rejected with [Invalid_argument]
-    (there is no global per-event sequencing to check it against). *)
+    every event). The engine can be [run] again afterwards to continue. *)
 
 val now : t -> int
 (** Virtual time of the most recently processed event. *)

@@ -35,25 +35,6 @@ let migration_cycles t =
 
 let amsg_cycles t = t.amsg_send + t.amsg_wire + t.amsg_dispatch
 
-(* Conservative lookahead for the sharded (windowed) engine: the smallest
-   number of cycles any cross-chip effect takes to become visible on
-   another chip. Within a window of this length a chip can run on local
-   state alone; everything cross-chip is delivered at the window barrier.
-   Candidates: invalidation propagation, a remote same-chip cache probe,
-   an active-message wire hop, migration transfer (+ mean poll delay),
-   and a DRAM round trip. *)
-let sync_window t =
-  let m a b = if a < b then a else b in
-  let w =
-    m t.invalidate_cycles
-      (m t.remote_same_chip
-         (m t.amsg_wire
-            (m
-               (t.migration_xfer + (t.poll_interval / 2))
-               t.dram_latency)))
-  in
-  max 1 w
-
 let on_chip_capacity t =
   (cores t * t.l2_bytes) + (t.chips * t.l3_bytes)
 

@@ -61,13 +61,6 @@ val migration_cycles : t -> int
 val amsg_cycles : t -> int
 (** End-to-end cost of shipping one operation by active message. *)
 
-val sync_window : t -> int
-(** Conservative lookahead Δ for the sharded engine: the minimum cycles
-    any cross-chip effect (invalidation, remote cache probe, active
-    message, migration, DRAM round trip) needs to become visible on
-    another chip. A chip simulating the window [T, T+Δ) can therefore run
-    on local state alone. Always ≥ 1; 90 for {!amd16}. *)
-
 val on_chip_capacity : t -> int
 (** Aggregate L2 + L3 bytes across the machine (paper: 16 MB); the point
     past which even a perfectly packed working set spills to DRAM. *)

@@ -4,13 +4,6 @@ type t = {
   cfg : Config.t;
   topo : Topology.t;
   controllers : controller array;
-  (* Per-window reservation deltas for the sharded engine: when a shard's
-     DRAM mirror tracks deltas, every fetch also records (service cycles,
-     lines) per home bank, and at the window barrier each peer mirror
-     absorbs them. Off (and free) for the serial engine. *)
-  mutable track_deltas : bool;
-  delta_service : int array;
-  delta_lines : int array;
 }
 
 let create cfg topo =
@@ -19,9 +12,6 @@ let create cfg topo =
     topo;
     controllers =
       Array.init cfg.Config.chips (fun _ -> { free_at = 0; served = 0 });
-    track_deltas = false;
-    delta_service = Array.make cfg.Config.chips 0;
-    delta_lines = Array.make cfg.Config.chips 0;
   }
 
 let fetch t ~now ~from_chip ~home_chip ~lines =
@@ -32,36 +22,9 @@ let fetch t ~now ~from_chip ~home_chip ~lines =
     let service = lines * t.cfg.Config.dram_service in
     c.free_at <- start + service;
     c.served <- c.served + lines;
-    if t.track_deltas then begin
-      t.delta_service.(home_chip) <- t.delta_service.(home_chip) + service;
-      t.delta_lines.(home_chip) <- t.delta_lines.(home_chip) + lines
-    end;
     let latency = Topology.dram_latency t.topo ~from_chip ~home_chip in
     start - now + latency + service
   end
-
-let enable_delta_tracking t = t.track_deltas <- true
-
-(* Fold [src]'s window deltas into [dst]'s controller state. Reservations
-   made by a peer shard during [window_start, window_start + delta) are
-   re-played here as a single blocked reservation starting no earlier than
-   [window_start]: if the bank was already booked into the future, the peer
-   traffic extends the queue; if it was idle, it occupies the window. This
-   keeps every mirror within one window of the true global bank queue, and
-   the merge (max then add) is order-independent across sources. *)
-let absorb dst ~src ~window_start =
-  for bank = 0 to Array.length dst.controllers - 1 do
-    let service = src.delta_service.(bank) in
-    if service > 0 then begin
-      let c = dst.controllers.(bank) in
-      c.free_at <- max c.free_at window_start + service;
-      c.served <- c.served + src.delta_lines.(bank)
-    end
-  done
-
-let clear_deltas t =
-  Array.fill t.delta_service 0 (Array.length t.delta_service) 0;
-  Array.fill t.delta_lines 0 (Array.length t.delta_lines) 0
 
 let controller_free_at t ~chip = t.controllers.(chip).free_at
 let lines_served t ~chip = t.controllers.(chip).served

@@ -36,19 +36,3 @@ val utilization : t -> now:int -> float
     controllers (0 when [now = 0]). *)
 
 val reset : t -> unit
-
-(** {2 Sharded-engine mirror support}
-
-    Each shard of the windowed engine owns a private DRAM mirror. With
-    delta tracking on, fetches also tally (service cycles, lines) per home
-    bank for the current window; at the barrier every peer mirror absorbs
-    them, so all mirrors agree on bank queues to within one window. *)
-
-val enable_delta_tracking : t -> unit
-
-val absorb : t -> src:t -> window_start:int -> unit
-(** Replay [src]'s tracked window deltas into [t]'s controllers as
-    reservations starting no earlier than [window_start]. Commutative
-    across sources. Does not clear [src]'s deltas. *)
-
-val clear_deltas : t -> unit

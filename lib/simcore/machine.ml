@@ -13,30 +13,6 @@ type observer = {
   on_remove : cache:Cache.t -> line:int -> unit;
 }
 
-(* One chip's view of the machine under the sharded (windowed) engine.
-   The view shares the cache arrays, counters, memory map and topology with
-   the root machine — a chip only ever mutates its own cores' L1/L2, its
-   own L3 and its own counters, so sharing is race-free — but carries a
-   private presence mirror and DRAM mirror plus the outbox logs that peers
-   replay at each window barrier:
-
-   - [plog]: every presence-bit update this chip made to its OWN bits this
-     window, packed one int per op. Replayed into every peer's mirror at
-     the barrier (streams from different chips touch disjoint bits, so
-     replay order across chips does not matter; order within a chip's log
-     is preserved).
-   - [ilog]: invalidation commands for lines this chip wrote that remote
-     chips still hold (per the mirror). The victim chip applies them at
-     the barrier — dropping the line from its caches and clearing its own
-     presence bits, which enter the victim's next-window [plog]. *)
-type shard_info = {
-  shard_chip : int;
-  first_core : int;
-  last_core : int;
-  plog : Intvec.t;
-  ilog : Intvec.t;
-}
-
 type t = {
   cfg : Config.t;
   topo : Topology.t;
@@ -70,10 +46,6 @@ type t = {
   mutable observers : observer list;
   (* Per-object line tally reused by [residency]; grown on demand. *)
   mutable res_scratch : int array;
-  (* [Some _] iff this is a per-chip shard view; [None] on the root
-     machine and under the serial engine. Every shard-aware site is a
-     single match on this field, so serial behaviour is unchanged. *)
-  shard : shard_info option;
 }
 
 let rec log2 v k = if v <= 1 then k else log2 (v lsr 1) (k + 1)
@@ -120,48 +92,7 @@ let create cfg =
     line_shift = log2 line 0;
     observers = [];
     res_scratch = [||];
-    shard = None;
   }
-
-let shard_view root ~chip =
-  if root.shard <> None then invalid_arg "Machine.shard_view: view of a view";
-  (* The packed presence/invalidation log entries carry a 12-bit core or
-     chip index; anything wider than 4096 cores has no business in this
-     simulator anyway. (The per-line core masks themselves are multi-word,
-     so 64–256-core configs shard fine — future64 runs here.) *)
-  if Config.cores root.cfg > 4096 then
-    invalid_arg
-      (Printf.sprintf
-         "Machine.shard_view: %d cores exceed the 4096 the packed shard \
-          logs support"
-         (Config.cores root.cfg));
-  let per = root.cfg.Config.cores_per_chip in
-  let first_core = chip * per in
-  let dram = Dram.create root.cfg root.topo in
-  Dram.enable_delta_tracking dram;
-  let presence = Presence.create ~cores:(Config.cores root.cfg) in
-  {
-    root with
-    presence;
-    pwords = Presence.words presence;
-    dram;
-    dram_scratch = Array.make root.cfg.Config.chips 0;
-    dram_touched = false;
-    observers = [];
-    res_scratch = [||];
-    shard =
-      Some
-        {
-          shard_chip = chip;
-          first_core;
-          last_core = first_core + per - 1;
-          plog = Intvec.create ~cap:256 ();
-          ilog = Intvec.create ~cap:64 ();
-        };
-  }
-
-let shard_chip t =
-  match t.shard with Some s -> s.shard_chip | None -> -1
 
 let cfg t = t.cfg
 let topology t = t.topo
@@ -232,42 +163,6 @@ let observe t observer =
 
 let observed t = t.observers <> []
 
-(* Presence updates funnel through these wrappers so a shard view can log
-   its own-bit updates for replay into peer mirrors. Packed one int per op:
-   (line lsl 14) lor (core-or-chip lsl 2) lor op — 12 bits of core/chip
-   index, wide enough for 256-core sweep topologies. Serial machines pay
-   one branch. *)
-let op_set_core = 0
-let op_clear_core = 1
-let op_set_chip = 2
-let op_clear_chip = 3
-
-let pack_pop ~line ~idx ~op = (line lsl 14) lor (idx lsl 2) lor op
-
-let pset_core t ~line ~core =
-  Presence.set_core t.presence ~line ~core;
-  match t.shard with
-  | None -> ()
-  | Some s -> Intvec.push s.plog (pack_pop ~line ~idx:core ~op:op_set_core)
-
-let pclear_core t ~line ~core =
-  Presence.clear_core t.presence ~line ~core;
-  match t.shard with
-  | None -> ()
-  | Some s -> Intvec.push s.plog (pack_pop ~line ~idx:core ~op:op_clear_core)
-
-let pset_chip t ~line ~chip =
-  Presence.set_chip t.presence ~line ~chip;
-  match t.shard with
-  | None -> ()
-  | Some s -> Intvec.push s.plog (pack_pop ~line ~idx:chip ~op:op_set_chip)
-
-let pclear_chip t ~line ~chip =
-  Presence.clear_chip t.presence ~line ~chip;
-  match t.shard with
-  | None -> ()
-  | Some s -> Intvec.push s.plog (pack_pop ~line ~idx:chip ~op:op_clear_chip)
-
 (* A core "holds" a line when it is in its L1 or L2; clear the presence bit
    only when it has left both. *)
 let core_still_holds t core line =
@@ -281,18 +176,18 @@ let core_still_holds t core line =
 
 let fill_l3 t chip line =
   let victim = Cache.fill_evict t.l3.(chip) line in
-  if victim >= 0 then pclear_chip t ~line:victim ~chip;
-  pset_chip t ~line ~chip
+  if victim >= 0 then Presence.clear_chip t.presence ~line:victim ~chip;
+  Presence.set_chip t.presence ~line ~chip
 
 let fill_l1 t core line =
   let victim = Cache.fill_evict t.l1.(core) line in
   if victim >= 0 && not (Cache.contains t.l2.(core) victim) then
-    pclear_core t ~line:victim ~core
+    Presence.clear_core t.presence ~line:victim ~core
 
 let fill_l2 t core line =
   let victim = Cache.fill_evict t.l2.(core) line in
   if victim >= 0 && not (Cache.contains t.l1.(core) victim) then begin
-    pclear_core t ~line:victim ~core;
+    Presence.clear_core t.presence ~line:victim ~core;
     (* victim-cache insertion into the chip's L3 *)
     fill_l3 t t.chip_tab.(core) victim
   end
@@ -300,7 +195,7 @@ let fill_l2 t core line =
 let fill_private t core line =
   fill_l1 t core line;
   fill_l2 t core line;
-  pset_core t ~line ~core
+  Presence.set_core t.presence ~line ~core
 
 (* One load: the cost in cache cycles of sourcing [line]. Lines that miss
    everywhere and fall through to DRAM cost 0 here; they are tallied into
@@ -318,7 +213,7 @@ let read_line t ~core ~chip ~now line =
   else if Cache.probe t.l2.(core) line then begin
     c.Counters.l2_hits <- c.Counters.l2_hits + 1;
     fill_l1 t core line;
-    pset_core t ~line ~core;
+    Presence.set_core t.presence ~line ~core;
     notify_access t ~now ~core ~line ~source:src_l2;
     t.cfg.Config.l2_latency
   end
@@ -326,7 +221,7 @@ let read_line t ~core ~chip ~now line =
     c.Counters.l3_hits <- c.Counters.l3_hits + 1;
     (* exclusive: the line moves from the L3 into the private hierarchy *)
     ignore (Cache.drop t.l3.(chip) line);
-    pclear_chip t ~line ~chip;
+    Presence.clear_chip t.presence ~line ~chip;
     fill_private t core line;
     notify_access t ~now ~core ~line ~source:src_l3;
     t.cfg.Config.l3_latency
@@ -417,7 +312,7 @@ let rec invalidate_core_bits t line base m =
     let h = base + Presence.bit_index bit 0 in
     ignore (Cache.invalidate t.l1.(h) line);
     ignore (Cache.invalidate t.l2.(h) line);
-    pclear_core t ~line ~core:h;
+    Presence.clear_core t.presence ~line ~core:h;
     invalidate_core_bits t line base (m land lnot bit)
   end
 
@@ -426,65 +321,22 @@ let rec invalidate_chip_bits t line m =
     let bit = m land -m in
     let p = Presence.bit_index bit 0 in
     ignore (Cache.invalidate t.l3.(p) line);
-    pclear_chip t ~line ~chip:p;
+    Presence.clear_chip t.presence ~line ~chip:p;
     invalidate_chip_bits t line (m land lnot bit)
   end
 
-(* Invalidation commands shipped to remote chips: (line lsl 14) lor
-   (victim lsl 2) lor kind, where kind 0 invalidates a core's L1+L2 copy
-   and kind 1 a chip's L3 copy. *)
-let ik_core = 0
-let ik_chip = 1
-
-(* Serial engine: drop every other core's and chip's copy immediately.
-   Returns whether any other holder existed. *)
-let rec serial_inval_words t line ~xw ~xbit w any =
+(* Drop every other core's and chip's copy immediately. Returns whether
+   any other holder existed. *)
+let rec invalidate_core_words t line ~xw ~xbit w any =
   if w >= t.pwords then any
   else begin
     let m = Presence.core_word t.presence ~line ~w in
     let m = if w = xw then m land lnot xbit else m in
-    if m = 0 then serial_inval_words t line ~xw ~xbit (w + 1) any
+    if m = 0 then invalidate_core_words t line ~xw ~xbit (w + 1) any
     else begin
       invalidate_core_bits t line (w * 32) m;
-      serial_inval_words t line ~xw ~xbit (w + 1) true
+      invalidate_core_words t line ~xw ~xbit (w + 1) true
     end
-  end
-
-(* Sharded engine: same-chip copies drop immediately, exactly as under
-   the serial engine. Remote copies (per this chip's mirror, which may lag
-   true state by up to one window) are invalidated by their owner at the
-   window barrier: we must not touch a peer's caches, nor clear a peer's
-   presence bits — those are the peer's to clear, and the clears reach us
-   through its replayed log. *)
-let rec shard_inval_bits t s line base m any =
-  if m = 0 then any
-  else begin
-    let bit = m land -m in
-    let h = base + Presence.bit_index bit 0 in
-    if h >= s.first_core && h <= s.last_core then begin
-      ignore (Cache.invalidate t.l1.(h) line);
-      ignore (Cache.invalidate t.l2.(h) line);
-      pclear_core t ~line ~core:h
-    end
-    else Intvec.push s.ilog ((line lsl 14) lor (h lsl 2) lor ik_core);
-    shard_inval_bits t s line base (m land lnot bit) true
-  end
-
-let rec shard_inval_words t s line ~xw ~xbit w any =
-  if w >= t.pwords then any
-  else begin
-    let m = Presence.core_word t.presence ~line ~w in
-    let m = if w = xw then m land lnot xbit else m in
-    let any = shard_inval_bits t s line (w * 32) m any in
-    shard_inval_words t s line ~xw ~xbit (w + 1) any
-  end
-
-let rec shard_inval_chip_bits s line m =
-  if m <> 0 then begin
-    let bit = m land -m in
-    let p = Presence.bit_index bit 0 in
-    Intvec.push s.ilog ((line lsl 14) lor (p lsl 2) lor ik_chip);
-    shard_inval_chip_bits s line (m land lnot bit)
   end
 
 let invalidate_others t ~core ~chip line =
@@ -492,15 +344,9 @@ let invalidate_others t ~core ~chip line =
   let chip_mask =
     Presence.chip_holders t.presence ~line land lnot (1 lsl chip)
   in
-  match t.shard with
-  | None ->
-      let any = serial_inval_words t line ~xw ~xbit 0 false in
-      invalidate_chip_bits t line chip_mask;
-      any || chip_mask <> 0
-  | Some s ->
-      let any = shard_inval_words t s line ~xw ~xbit 0 false in
-      shard_inval_chip_bits s line chip_mask;
-      any || chip_mask <> 0
+  let any = invalidate_core_words t line ~xw ~xbit 0 false in
+  invalidate_chip_bits t line chip_mask;
+  any || chip_mask <> 0
 
 let rec write_lines t ~core ~chip ~now line last acc =
   if line > last then acc
@@ -620,7 +466,7 @@ let place t ~core ~addr ~l1 ~l2 ~l3 =
   let chip = t.chip_tab.(core) in
   if l1 then fill_l1 t core line;
   if l2 then fill_l2 t core line;
-  if l1 || l2 then pset_core t ~line ~core;
+  if l1 || l2 then Presence.set_core t.presence ~line ~core;
   if l3 then fill_l3 t chip line
 
 let flush_line t ~addr =
@@ -630,12 +476,12 @@ let flush_line t ~addr =
       let dropped1 = Cache.drop cache line in
       let dropped2 = Cache.drop t.l2.(c) line in
       if dropped1 || dropped2 then ();
-      pclear_core t ~line ~core:c)
+      Presence.clear_core t.presence ~line ~core:c)
     t.l1;
   Array.iteri
     (fun p cache ->
       ignore (Cache.drop cache line);
-      pclear_chip t ~line ~chip:p)
+      Presence.clear_chip t.presence ~line ~chip:p)
     t.l3
 
 let flush_all t =
@@ -645,84 +491,12 @@ let flush_all t =
   List.iter
     (fun line ->
       for c = 0 to Config.cores t.cfg - 1 do
-        pclear_core t ~line ~core:c
+        Presence.clear_core t.presence ~line ~core:c
       done;
       for p = 0 to t.cfg.Config.chips - 1 do
-        pclear_chip t ~line ~chip:p
+        Presence.clear_chip t.presence ~line ~chip:p
       done)
     !lines
 
 let seconds_of_cycles t cycles =
   float_of_int cycles /. (t.cfg.Config.ghz *. 1e9)
-
-(* ------------------------------------------------------------------ *)
-(* Window-barrier merge, driven by the sharded engine's serial phase.  *)
-
-let shard_info_exn t fn =
-  match t.shard with
-  | Some s -> s
-  | None -> invalid_arg ("Machine." ^ fn ^ ": not a shard view")
-
-let shard_outbox_empty t =
-  let s = shard_info_exn t "shard_outbox_empty" in
-  Intvec.is_empty s.plog && Intvec.is_empty s.ilog
-
-(* Replay [src]'s presence log into [dst]'s mirror. [src]'s log references
-   only [src]-owned bits, so replays from different chips commute; within
-   one chip's log the order is the order the updates happened. *)
-let shard_replay_presence dst ~src =
-  let s = shard_info_exn src "shard_replay_presence" in
-  let n = Intvec.length s.plog in
-  for i = 0 to n - 1 do
-    let e = Intvec.unsafe_get s.plog i in
-    let line = e lsr 14 in
-    let idx = (e lsr 2) land 0xfff in
-    match e land 0x3 with
-    | 0 (* op_set_core *) -> Presence.set_core dst.presence ~line ~core:idx
-    | 1 (* op_clear_core *) -> Presence.clear_core dst.presence ~line ~core:idx
-    | 2 (* op_set_chip *) -> Presence.set_chip dst.presence ~line ~chip:idx
-    | _ (* op_clear_chip *) -> Presence.clear_chip dst.presence ~line ~chip:idx
-  done
-
-(* Apply the commands in [src]'s invalidation log that target [victim]'s
-   chip: drop the line from the victim's caches and clear the victim's own
-   presence bits. The clears go through the logging wrappers, so peers
-   (including the writer) learn of them when [victim]'s next-window log is
-   replayed — remote state is stale by at most one window either way. *)
-let shard_apply_invals victim ~src =
-  let sv = shard_info_exn victim "shard_apply_invals" in
-  let ss = shard_info_exn src "shard_apply_invals(src)" in
-  let n = Intvec.length ss.ilog in
-  for i = 0 to n - 1 do
-    let e = Intvec.unsafe_get ss.ilog i in
-    let line = e lsr 14 in
-    let idx = (e lsr 2) land 0xfff in
-    match e land 0x3 with
-    | 0 (* ik_core *) ->
-        if idx >= sv.first_core && idx <= sv.last_core then begin
-          ignore (Cache.invalidate victim.l1.(idx) line);
-          ignore (Cache.invalidate victim.l2.(idx) line);
-          pclear_core victim ~line ~core:idx
-        end
-    | _ (* ik_chip *) ->
-        if idx = sv.shard_chip then begin
-          ignore (Cache.invalidate victim.l3.(idx) line);
-          pclear_chip victim ~line ~chip:idx
-        end
-  done
-
-let shard_absorb_dram dst ~src ~window_start =
-  Dram.absorb dst.dram ~src:src.dram ~window_start
-
-(* Barrier order matters: presence logs and DRAM deltas are replayed and
-   then cleared BEFORE invalidations are applied, so the presence clears
-   that [shard_apply_invals] performs land in the victim's fresh log and
-   are replayed to peers at the NEXT barrier. The ilogs are cleared last. *)
-let shard_clear_plog_and_dram t =
-  let s = shard_info_exn t "shard_clear_plog_and_dram" in
-  Intvec.clear s.plog;
-  Dram.clear_deltas t.dram
-
-let shard_clear_ilog t =
-  let s = shard_info_exn t "shard_clear_ilog" in
-  Intvec.clear s.ilog

@@ -108,41 +108,3 @@ val flush_line : t -> addr:int -> unit
 val flush_all : t -> unit
 
 val seconds_of_cycles : t -> int -> float
-
-(** {2 Shard views (windowed sharded engine)}
-
-    [shard_view root ~chip] is chip [chip]'s view of [root] for the
-    conservative time-window engine: it shares the cache arrays, counters,
-    memory map and topology (a chip only mutates its own cores' caches and
-    counters), but owns a private presence mirror, a private DRAM mirror
-    with per-window delta tracking, and outbox logs of this window's
-    own-bit presence updates and outbound invalidations. The engine's
-    barrier serial phase replays each view's logs into its peers with the
-    [shard_*] functions below, in this order for every window: replay
-    presence logs pairwise, absorb DRAM deltas pairwise, clear presence
-    logs and deltas, apply invalidation logs pairwise (the victims' own
-    presence clears land in their next-window logs), clear invalidation
-    logs. Remote state in any mirror is thus stale by at most one window.
-
-    The root machine's own presence directory and DRAM are NOT maintained
-    while shard views are driving the caches; consistency checks and
-    occupancy reports apply to serial runs only. *)
-
-val shard_view : t -> chip:int -> t
-(** @raise Invalid_argument when applied to a view, or when the config
-    has more than 4096 cores (the packed shard-log entries carry a
-    12-bit core/chip index). The per-line presence masks are multi-word
-    (32 bits per word), so wide machines — future64's 8x8, 256-core
-    sweeps — shard fine. *)
-
-val shard_chip : t -> int
-(** The view's chip, or [-1] for a root machine. *)
-
-val shard_outbox_empty : t -> bool
-(** No cross-chip traffic was generated this window (barrier fast path). *)
-
-val shard_replay_presence : t -> src:t -> unit
-val shard_apply_invals : t -> src:t -> unit
-val shard_absorb_dram : t -> src:t -> window_start:int -> unit
-val shard_clear_plog_and_dram : t -> unit
-val shard_clear_ilog : t -> unit

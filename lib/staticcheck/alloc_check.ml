@@ -138,3 +138,25 @@ let check_module ?(manifest = Manifest.default) (m : Cmt_load.module_info) =
 let check ?manifest mods =
   List.sort Finding.compare
     (List.concat_map (check_module ?manifest) mods)
+
+(* Whole-tree only: [check_module] looks entries up per loaded module, so
+   an entry whose module no longer exists would otherwise pass silently
+   while still counting towards the report's manifest total. *)
+let check_manifest_modules ?(manifest = Manifest.default) mods =
+  List.filter_map
+    (fun (e : Manifest.entry) ->
+      if
+        List.exists
+          (fun (m : Cmt_load.module_info) -> m.Cmt_load.short = e.Manifest.module_)
+          mods
+      then None
+      else
+        Some
+          (Finding.make ~pass:"alloc" ~code:"manifest-missing"
+             ~file:"lib/staticcheck/manifest.ml" ~line:0 ~func:e.Manifest.module_
+             (Printf.sprintf
+                "manifest names module %s (%d functions) but no scanned \
+                 module has that name"
+                e.Manifest.module_
+                (List.length e.Manifest.functions))))
+    manifest

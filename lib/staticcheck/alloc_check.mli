@@ -12,3 +12,8 @@ val check_module :
 
 val check :
   ?manifest:Manifest.entry list -> Cmt_load.module_info list -> Finding.t list
+
+val check_manifest_modules :
+  ?manifest:Manifest.entry list -> Cmt_load.module_info list -> Finding.t list
+(** [manifest-missing] for every manifest entry whose module is none of
+    [mods]. Meaningful only when [mods] is the whole tree. *)

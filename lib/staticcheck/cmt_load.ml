@@ -202,9 +202,9 @@ let attr_reason name attrs =
 (* Map from value name to its binding, for manifest lookup and
    same-module transitive analysis. Multiple bindings of the same name
    keep the last one (what the rest of the module sees). Values inside
-   nested structures are included under their dotted path ("Outbox.push",
-   "Barrier.wait_round") so manifests can name functions of modules that
-   group their API into submodules (Shard_sync). *)
+   nested structures are included under their dotted path ("Sub.fn") so
+   manifests can name functions of modules that group their API into
+   submodules. *)
 let top_bindings (str : Typedtree.structure) =
   let tbl = Hashtbl.create 64 in
   let rec items prefix (str : Typedtree.structure) =

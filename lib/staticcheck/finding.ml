@@ -15,7 +15,8 @@ let compare a b =
   if c <> 0 then c
   else
     let c = Stdlib.compare a.line b.line in
-    if c <> 0 then c else Stdlib.compare (a.pass, a.code) (b.pass, b.code)
+    if c <> 0 then c
+    else Stdlib.compare (a.pass, a.code, a.func) (b.pass, b.code, b.func)
 
 let pp ppf f =
   Format.fprintf ppf "%s:%d: [%s/%s]%s %s" f.file f.line f.pass f.code

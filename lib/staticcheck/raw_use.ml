@@ -6,17 +6,11 @@
 
 open Typedtree
 
-(* The runtime's three concurrency shims: domain_pool.ml parallelises
-   whole independent cells; shard_sync.ml holds the windowed engine's
-   worker domains and round barrier; native_pool.ml holds the native
-   backend's worker domains and park/wake protocol. Raw primitives live
-   nowhere else. *)
+(* The repo's two concurrency shims: domain_pool.ml parallelises whole
+   independent cells; native_pool.ml holds the native backend's worker
+   domains and park/wake protocol. Raw primitives live nowhere else. *)
 let default_allowlist =
-  [
-    "lib/runtime/domain_pool.ml";
-    "lib/runtime/shard_sync.ml";
-    "lib/native/native_pool.ml";
-  ]
+  [ "lib/runtime/domain_pool.ml"; "lib/native/native_pool.ml" ]
 
 (* A use of [Mod.fn] where some non-final path component is one of the
    raw modules. Matching on components (not the head) catches both
@@ -71,3 +65,20 @@ let check_module ?(allowlist = default_allowlist) (m : Cmt_load.module_info) =
 
 let check ?allowlist mods =
   List.sort Finding.compare (List.concat_map (check_module ?allowlist) mods)
+
+(* Whole-tree only: an allowlisted path that no scanned module comes
+   from is a stale entry (its file was deleted or moved). *)
+let check_allowlist ?(allowlist = default_allowlist) mods =
+  List.filter_map
+    (fun path ->
+      if List.exists (fun (m : Cmt_load.module_info) -> m.Cmt_load.source = path) mods
+      then None
+      else
+        Some
+          (Finding.make ~pass:"raw" ~code:"allowlist-missing" ~file:path
+             ~line:0 ~func:""
+             (Printf.sprintf
+                "raw-primitive allowlist names %s but no scanned module has \
+                 that source"
+                path)))
+    allowlist

@@ -33,10 +33,22 @@ let run_on_modules ?manifest ?allowlist mods =
     listeners_checked = listener_count mods;
   }
 
+(* A whole-tree scan also reports stale manifest and allowlist entries;
+   [run_on_modules] sees fixture subsets, where absence means nothing. *)
 let run ?build_dir ?manifest ?allowlist ~root () =
   match Cmt_load.load_tree ?build_dir ~root () with
   | Error e -> Error e
-  | Ok mods -> Ok (run_on_modules ?manifest ?allowlist mods)
+  | Ok mods ->
+      let r = run_on_modules ?manifest ?allowlist mods in
+      let stale =
+        Alloc_check.check_manifest_modules ?manifest mods
+        @ Raw_use.check_allowlist ?allowlist mods
+      in
+      Ok
+        {
+          r with
+          findings = List.sort_uniq Finding.compare (stale @ r.findings);
+        }
 
 let pp_report ppf r =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) r.findings;

@@ -28,7 +28,11 @@ val run :
   unit ->
   (report, string) result
 (** Discover .cmt files under a build tree rooted at [root] (or
-    [build_dir]) and run all passes. [Error] when no cmts are found. *)
+    [build_dir]) and run all passes. Because the scan covers the whole
+    tree, it also reports stale entries: [manifest-missing] for a
+    manifest module that no scanned module matches, [allowlist-missing]
+    for an allowlist path that no scanned source matches. [Error] when
+    no cmts are found. *)
 
 val pp_report : Format.formatter -> report -> unit
 val report_to_json : report -> string

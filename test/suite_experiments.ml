@@ -173,6 +173,23 @@ let test_golden_ablations () =
     (golden_ablation_cells ())
     ~digest:"43cec61125686ca9e489d44ec90266e0" ~total_ops:6196
 
+(* E10's golden: the future 64-core config (8 chips x 8 cores; core 63
+   lives in the second presence-mask word) on the serial engine, so the
+   two-words-per-line presence path stays pinned. Horizons are small;
+   the sweep itself runs through the same Harness path with longer
+   ones. *)
+let golden_future_cells () =
+  let spec = O2_workload.Dir_workload.spec_for_data_kb ~kb:256 () in
+  List.map
+    (fun policy ->
+      Harness.setup ~cfg:O2_simcore.Config.future64 ~policy ~warmup:1_000_000
+        ~measure:1_000_000 spec)
+    [ Coretime.Policy.baseline; Coretime.Policy.default ]
+
+let test_golden_future64 () =
+  check_golden "future64-small (E10)" (golden_future_cells ())
+    ~digest:"c5e4320e1e11b908f02b491149a2b94d" ~total_ops:535
+
 (* The cache observatory's standing invariant: occupancy, heat and
    provenance trackers only observe, so running the same golden cells
    with the full observatory attached — at every --jobs width — must
@@ -246,6 +263,8 @@ let suite =
     Alcotest.test_case "golden rows: figure 4(a) small" `Slow test_golden_fig4a;
     Alcotest.test_case "golden rows: figure 4(b) small" `Slow test_golden_fig4b;
     Alcotest.test_case "golden rows: ablation grid" `Slow test_golden_ablations;
+    Alcotest.test_case "golden rows: future64 (E10) small" `Slow
+      test_golden_future64;
     Alcotest.test_case "golden rows: figure 4(a) with the observatory" `Slow
       test_golden_fig4a_observed;
     Alcotest.test_case "golden rows: figure 4(b) with the observatory" `Slow

@@ -319,51 +319,6 @@ let test_rebalancer_inactive_probe_step () =
   in
   check_zero_alloc "Rebalancer.step with inactive probe" words
 
-(* The PR-7 tentpole: the windowed shard loop — window grid, barrier
-   merge, outbox emptiness checks, worker round plumbing — must add
-   nothing per window on top of what the same workload costs on the
-   serial engine. Run an identical compute-only workload (every chip
-   busy, no cross-chip traffic, probes off) over the same steady-state
-   segment on both engines and compare minor words; shards:1 keeps every
-   chip on the coordinating domain, so Gc.minor_words sees the whole
-   windowed machinery. A few thousand windows means even a single
-   closure per window would dwarf the slack. *)
-let test_sharded_window_loop () =
-  let open O2_runtime in
-  let cfg = Config.amd16 in
-  let delta = Config.sync_window cfg in
-  let warmup = 1_000 * delta in
-  let horizon = 6_000 * delta in
-  let chip_of = Config.chip_of_core cfg in
-  let first_core_of chip =
-    let rec find c = if chip_of c = chip then c else find (c + 1) in
-    find 0
-  in
-  let words_of engine_of =
-    let e = engine_of (Machine.create cfg) in
-    for chip = 0 to cfg.Config.chips - 1 do
-      ignore
-        (Engine.spawn e ~core:(first_core_of chip) ~name:"spin" (fun () ->
-             let rec loop () =
-               Api.compute 50;
-               loop ()
-             in
-             loop ()))
-    done;
-    Engine.run e ~until:warmup;
-    minor_words_during (fun () -> Engine.run e ~until:horizon)
-  in
-  let serial = words_of Engine.create in
-  let sharded = words_of (fun m -> Engine.create_sharded m ~shards:1) in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "windowed overhead: %.0f minor words sharded vs %.0f serial over %d \
-        windows"
-       sharded serial
-       ((horizon - warmup) / delta))
-    true
-    (sharded -. serial <= 1024.0)
-
 (* The PR-10 tentpole's zero-cost-when-off claim, steal-path edition:
    the worker loop's shape — deque traffic plus a cached-bool telemetry
    guard in front of a prefetched (inert) sink — allocates nothing when
@@ -436,8 +391,6 @@ let suite =
       test_rebalancer_quiet_step;
     Alcotest.test_case "inactive-probe rebalancer allocates nothing" `Quick
       test_rebalancer_inactive_probe_step;
-    Alcotest.test_case "steady-state shard window loop allocates nothing"
-      `Quick test_sharded_window_loop;
     Alcotest.test_case "telemetry-off steal path allocates nothing" `Quick
       test_native_steal_path_telemetry_off;
     Alcotest.test_case "telemetry-off with_op allocates nothing" `Quick

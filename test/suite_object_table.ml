@@ -52,19 +52,15 @@ let test_fits_and_place () =
   Alcotest.(check bool) "can place somewhere" true (Object_table.can_place t small);
   Alcotest.(check (float 0.001)) "occupancy" 0.225 (Object_table.occupancy t)
 
-(* The compat shim is deprecated (it allocates per call), but where it
-   survives, registration order is its contract — pinned here. *)
+(* Registration order is [iter]/[fold]'s documented contract — pinned
+   here. *)
 let test_objects_in_registration_order () =
   let t = table () in
   let names = [ "x"; "y"; "z" ] in
   List.iteri
     (fun i n -> ignore (Object_table.register t ~base:i ~size:1 ~name:n ()))
     names;
-  Alcotest.(check (list string)) "order kept" names
-    (List.map
-       (fun o -> o.Object_table.name)
-       ((Object_table.objects [@alert "-deprecated"]) t));
-  Alcotest.(check (list string)) "iter agrees with the shim" names
+  Alcotest.(check (list string)) "fold visits in registration order" names
     (List.rev
        (Object_table.fold t (fun acc o -> o.Object_table.name :: acc) []))
 
@@ -74,8 +70,7 @@ let names_assigned t core =
          o.Object_table.name :: acc) [])
 
 (* Per-core assignment lists: membership tracks assign/unassign exactly,
-   and [assigned] presents the union in registration order (the order the
-   deprecated full-list shim guaranteed). *)
+   and [assigned] presents the union in registration order. *)
 let test_assigned_lists () =
   let t = table () in
   let a = Object_table.register t ~base:1 ~size:10 ~name:"a" () in

@@ -139,17 +139,18 @@ let test_native_fixture () =
     "raw Domain.spawn flagged outside the shims" [ "raw-domain" ]
     (codes (SC.Raw_use.check_module m))
 
+(* A whole-tree scan of the repo's own build. ".." is _build/default
+   under dune runtest; "." covers running the binary by hand from a
+   source root with _build/default beneath it. *)
+let run_tree ?manifest ?allowlist () =
+  match SC.Staticcheck.run ?manifest ?allowlist ~root:".." () with
+  | Ok r -> Ok r
+  | Error _ -> SC.Staticcheck.run ?manifest ?allowlist ~root:"." ()
+
 (* The repo's own tree must be clean: every hot path either allocation-
    free or annotated, every listener effect-free, every lock balanced. *)
 let test_clean_tree () =
-  (* ".." is _build/default under dune runtest; "." covers running the
-     binary by hand from a source root with _build/default beneath it. *)
-  let result =
-    match SC.Staticcheck.run ~root:".." () with
-    | Ok r -> Ok r
-    | Error _ -> SC.Staticcheck.run ~root:"." ()
-  in
-  match result with
+  match run_tree () with
   | Error e -> Alcotest.fail ("clean-tree run failed to find cmts: " ^ e)
   | Ok r ->
       Alcotest.(check (list string))
@@ -166,6 +167,46 @@ let test_clean_tree () =
         "listeners were actually checked" true
         (r.SC.Staticcheck.listeners_checked > 0)
 
+(* Stale entries: a manifest module that no longer exists and an
+   allowlisted file that was deleted must each be reported by the
+   whole-tree run, while the per-module check run on a fixture (which
+   sees one module, not the tree) reports neither. *)
+let test_stale_entries () =
+  let manifest =
+    { SC.Manifest.module_ = "No_such_module"; functions = [ "f"; "g" ] }
+    :: SC.Manifest.default
+  in
+  let allowlist = "lib/no_such_file.ml" :: SC.Raw_use.default_allowlist in
+  (match run_tree ~manifest ~allowlist () with
+  | Error e -> Alcotest.fail ("tree run failed to find cmts: " ^ e)
+  | Ok r ->
+      let fs = r.SC.Staticcheck.findings in
+      Alcotest.(check (list string))
+        "exactly the two stale entries reported"
+        [ "allowlist-missing"; "manifest-missing" ]
+        (codes fs);
+      Alcotest.(check (list string))
+        "stale manifest module named" [ "No_such_module" ]
+        (funcs_with ~code:"manifest-missing" fs);
+      Alcotest.(check (list string))
+        "stale allowlist path named" [ "lib/no_such_file.ml" ]
+        (List.filter_map
+           (fun f ->
+             if f.SC.Finding.code = "allowlist-missing" then
+               Some f.SC.Finding.file
+             else None)
+           fs);
+      Alcotest.(check int)
+        "stale functions still counted in the total"
+        (SC.Manifest.total_functions SC.Manifest.default + 2)
+        r.SC.Staticcheck.manifest_functions);
+  let m = load_fixture "Fx_alloc" in
+  Alcotest.(check (list string))
+    "per-module run on a fixture stays quiet" []
+    (codes
+       (SC.Staticcheck.run_on_modules ~manifest ~allowlist [ m ])
+         .SC.Staticcheck.findings)
+
 let suite =
   [
     Alcotest.test_case "allocating hot path fixture" `Quick test_alloc_fixture;
@@ -174,4 +215,6 @@ let suite =
     Alcotest.test_case "raw primitive fixture" `Quick test_raw_fixture;
     Alcotest.test_case "native backend fixture" `Quick test_native_fixture;
     Alcotest.test_case "repo tree is clean" `Quick test_clean_tree;
+    Alcotest.test_case "stale manifest and allowlist entries" `Quick
+      test_stale_entries;
   ]
