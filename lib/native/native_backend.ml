@@ -1,15 +1,18 @@
-(* Counter layout: everything hot is a per-domain row written only by
-   its owning worker (ops_by_obj, submits, dstats), so the hot path has
-   no contended atomics at all. Rows are summed by the coordinator only
-   at quiescence; [home] is plain too — written only inside [rebalance]
-   (inflight = 0, no worker executing clients) and published to workers
-   by the next spawn's inbox CAS / drain exchange pair. *)
+(* Counter layout: everything hot is plain per-domain storage written
+   only by its owning worker, and no two domains' counters share a cache
+   line. [dstats] is padded Slots; each [submits] / [ops_by_obj] row is
+   its own block with [Slots.stride] words (128 bytes) of tail padding
+   past its last object. Separate
+   small records or unpadded rows would sit adjacent in the heap, and
+   every op would bounce the line between domains. Rows are summed by
+   the coordinator only at quiescence; [home] is plain too — written
+   only inside [rebalance] and [register] (inflight = 0, no worker
+   executing clients) and published to workers by the next spawn's
+   inbox CAS / drain exchange pair. *)
 
-type dstats = {
-  mutable ops : int;
-  mutable ships_out : int;
-  mutable ships_in : int;
-}
+let d_ops = 0
+let d_ships_out = 1
+let d_ships_in = 2
 
 type t = {
   pool : Native_pool.t;
@@ -26,7 +29,7 @@ type t = {
   mutable ops_by_obj : int array array;  (* [domain].(obj), owner-written *)
   mutable submits : int array array;  (* [domain].(obj), owner-written *)
   mutable submits_snap : int array array;  (* coordinator-owned snapshot *)
-  stats : dstats array;  (* per-domain, owner-written *)
+  dstats : Slots.t;  (* per-domain d_* counters, owner-written *)
   mutable migrations_ : int;
   mutable periods : int;  (* completed rebalance steps *)
 }
@@ -45,10 +48,10 @@ let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
     home_ = Array.make 16 0;
     names = Array.make 16 "";
     sizes = Array.make 16 0;
-    ops_by_obj = Array.init domains (fun _ -> Array.make 16 0);
-    submits = Array.init domains (fun _ -> Array.make 16 0);
+    ops_by_obj = Array.init domains (fun _ -> Array.make (16 + Slots.stride) 0);
+    submits = Array.init domains (fun _ -> Array.make (16 + Slots.stride) 0);
     submits_snap = Array.init domains (fun _ -> Array.make 16 0);
-    stats = Array.init domains (fun _ -> { ops = 0; ships_out = 0; ships_in = 0 });
+    dstats = Slots.create ~domains;
     migrations_ = 0;
     periods = 0;
   }
@@ -75,15 +78,16 @@ let ensure_capacity t =
     let names = Array.make cap' "" in
     Array.blit t.names 0 names 0 cap;
     t.names <- names;
-    t.ops_by_obj <- Array.map (fun r -> grow_int_array r cap') t.ops_by_obj;
-    t.submits <- Array.map (fun r -> grow_int_array r cap') t.submits;
+    let pad r = grow_int_array r (cap' + Slots.stride) in
+    t.ops_by_obj <- Array.map pad t.ops_by_obj;
+    t.submits <- Array.map pad t.submits;
     t.submits_snap <- Array.map (fun r -> grow_int_array r cap') t.submits_snap
   end
 
 let register t ~size ~name =
   if size <= 0 then invalid_arg "Native_backend.register: size must be > 0";
-  if Native_pool.current_domain t.pool >= 0 then
-    invalid_arg "Native_backend.register: must be called off-pool";
+  if not (Native_pool.quiescent t.pool) then
+    invalid_arg "Native_backend.register: must be called at a quiesce point";
   ensure_capacity t;
   let o = t.nobjs in
   t.nobjs <- o + 1;
@@ -120,16 +124,14 @@ let with_op t ?write:_ obj f =
   let h = t.home_.(obj) in
   let shipped = h <> me in
   if shipped then begin
-    let s = t.stats.(me) in
-    s.ships_out <- s.ships_out + 1;
+    Slots.incr t.dstats ~d:me d_ships_out;
     if tel_on then
       O2_runtime.Telemetry.note_ship_out t.tsinks.(me) ~token ~obj ~dst:h;
     O2_runtime.Api.ship_to h;
     (* The continuation resumed on the home's worker; from here until
        the next ship, everything runs there — including the telemetry
        writes, which now target the home's own sink. *)
-    let s = t.stats.(h) in
-    s.ships_in <- s.ships_in + 1;
+    Slots.incr t.dstats ~d:h d_ships_in;
     if tel_on then
       O2_runtime.Telemetry.note_ship_in t.tsinks.(h) ~token ~obj ~src:me
   end;
@@ -144,8 +146,7 @@ let with_op t ?write:_ obj f =
     else 0
   in
   let r = f () in
-  let s = t.stats.(here) in
-  s.ops <- s.ops + 1;
+  Slots.incr t.dstats ~d:here d_ops;
   if tel_on then begin
     let sk = t.tsinks.(here) in
     let t2 = O2_runtime.Telemetry.now_ns () in
@@ -166,7 +167,7 @@ let compute _t cycles =
     ignore (Sys.opaque_identity 0)
   done
 
-let ops_completed t = Array.fold_left (fun acc s -> acc + s.ops) 0 t.stats
+let ops_completed t = Slots.sum t.dstats ~domains:t.n d_ops
 
 let object_ops t o =
   let acc = ref 0 in
@@ -176,13 +177,8 @@ let object_ops t o =
   !acc
 
 let ships t =
-  let out = ref 0 and in_ = ref 0 in
-  Array.iter
-    (fun s ->
-      out := !out + s.ships_out;
-      in_ := !in_ + s.ships_in)
-    t.stats;
-  (!out, !in_)
+  (Slots.sum t.dstats ~domains:t.n d_ships_out,
+   Slots.sum t.dstats ~domains:t.n d_ships_in)
 
 let migrations t = t.migrations_
 
@@ -190,7 +186,7 @@ let migrations t = t.migrations_
 let delta t d o = t.submits.(d).(o) - t.submits_snap.(d).(o)
 
 let rebalance t =
-  if Native_pool.current_domain t.pool >= 0 then
+  if not (Native_pool.quiescent t.pool) then
     invalid_arg "Native_backend.rebalance: must run at a quiesce point";
   let moves = ref 0 in
   (* Pass 1 — affinity: home := the domain that submitted most ops this

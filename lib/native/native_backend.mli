@@ -40,7 +40,9 @@ val rebalance : t -> unit
     dominant submitter, spills overloaded homes to the least loaded
     domain, snapshots the submit counters for the next period, and emits
     [Probe.Rebalanced] when the probe is active.
-    @raise Invalid_argument if called from a pool worker. *)
+    @raise Invalid_argument unless {!Native_pool.quiescent} holds — some
+    client is still in flight, for instance between {!spawn} and {!run},
+    or the caller is itself a pool worker. *)
 
 val pool : t -> Native_pool.t
 val home : t -> int -> int
@@ -55,6 +57,11 @@ val name : t -> string
 val cores : t -> int
 val probe : t -> O2_runtime.Probe.t
 val register : t -> size:int -> name:string -> int
+(** Same quiesce-point rule as {!rebalance}: growing the counter rows or
+    writing a home while a worker reads them would lose counts or
+    misroute ships.
+    @raise Invalid_argument if [size <= 0] or a client is in flight. *)
+
 val objects : t -> int
 val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
 val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a

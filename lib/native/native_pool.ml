@@ -4,15 +4,27 @@
    confinement discipline as Domain_pool (o2staticcheck's raw-primitive
    allowlist names exactly these two files).
 
-   Park/wake protocol: posts increment [epoch] (then broadcast iff a
-   sleeper is advertised); a worker records the epoch BEFORE its final
-   empty scan and only sleeps while the epoch is unchanged, re-checked
-   under the mutex. A post racing the park either bumps the epoch before
-   the worker's check (worker rescans) or blocks on the mutex the
-   checking worker still holds until it reaches [Condition.wait] — so no
-   wakeup is lost. [sleepers] is advertised before the re-check and the
-   poster reads it after its bump (SC atomics: at least one side sees
-   the other), so the poster skips the mutex on the fast path safely.
+   Cache-line discipline: a worker writes only lines it owns — its
+   deque, its inbox head, its flag and its padded counter slots in
+   [ctr] (see Slots) — except the one a ship must hand over, the
+   target's inbox head. Waking reads only the target's flag, and the
+   pre-park spin only reads.
+
+   Park/wake protocol, per worker: a parking worker sets its own
+   [sleeping] flag, then re-checks its inbox and every deque
+   ([has_work]); only if all are empty does it wait on its own
+   condition, looping while the flag is still set. A poster pushes to
+   the target's inbox and then reads only the target's flag; a worker
+   that pushes a fresh client on its deque reads its peers' flags. SC
+   atomics make this a Dekker pair — the worker writes its flag before
+   reading the queues, the poster writes a queue before reading the
+   flag, so at least one side sees the other. The waker claims the flag
+   (CAS true -> false) and signals under the sleeper's mutex, which the
+   sleeper holds from its flag check until [Condition.wait] releases
+   it, so no wakeup is lost. Before parking, a worker with clients in
+   flight spins on the same read-only [has_work] check for [spin_limit]
+   polls, unless domains outnumber the CPUs the process may run on —
+   then it parks at once and leaves the CPU to whoever holds the work.
 
    Quiescence: [inflight] counts spawned client bodies not yet finished;
    the handler's retc/exnc decrement it exactly once per client no
@@ -25,12 +37,14 @@ type task =
   | Fresh of { name : string; body : unit -> unit }
   | Resume of (unit, unit) Effect.Deep.continuation
 
+(* Immutable: posters read [inbox] and [sleeping] through this record,
+   so nothing the owner writes per task may live in it. *)
 type worker = {
   deque : task Deque.t;
   inbox : task Inbox.t;
-  mutable executed : int;  (* owner-written *)
-  mutable stolen : int;  (* owner-written *)
-  mutable last_victim : int;  (* deque index the last successful steal hit *)
+  sleeping : bool Atomic.t;  (* set by the owner to park, cleared by a waker *)
+  lock : Mutex.t;  (* guards the wait on [wake] *)
+  wake : Condition.t;
   sink : Telemetry.sink;  (* this worker's single-writer telemetry sink *)
 }
 
@@ -40,17 +54,25 @@ type t = {
   tel_on : bool;  (* Telemetry.enabled tel, cached for the hot loop *)
   coord_sink : Telemetry.sink;
   workers : worker array;
+  ctr : Slots.t;  (* per-worker counters, owner-written *)
+  spin : int;  (* polls before parking: [spin_limit], or 0 oversubscribed *)
   inflight : int Atomic.t;
-  epoch : int Atomic.t;  (* wake ticket: bumped by every post *)
-  sleepers : int Atomic.t;
   stop : bool Atomic.t;
   error : exn option Atomic.t;  (* first client exception, kept for drain *)
-  lock : Mutex.t;
-  wake : Condition.t;  (* workers park here *)
+  idle_lock : Mutex.t;
   idle : Condition.t;  (* drain waits here *)
   mutable handles : unit Domain.t array;
   mutable down : bool;
 }
+
+let slot_executed = 0
+let slot_stolen = 1
+let slot_victim = 2  (* deque index the last successful steal hit *)
+
+(* About 35 µs at ~35 ns a poll (a pause and a few loads) on a 2-core
+   Xeon VM: below the 44-60 µs park -> wake round trip measured there.
+   2,000 polls measured slower on native_dir. *)
+let spin_limit = 1_000
 
 (* Worker identity travels in domain-local storage, not in captured
    closure state: a shipped continuation resumes on another domain, and
@@ -67,25 +89,35 @@ let current_domain t =
   | Some (p, i) when p == t -> i
   | _ -> -1
 
-let notify t =
-  Atomic.incr t.epoch;
-  if Atomic.get t.sleepers > 0 then begin
-    Mutex.lock t.lock;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.lock
+(* Claim the sleeper's flag, then signal under its mutex: the sleeper
+   holds that mutex from its own flag check until it waits. A worker
+   that is awake costs one read. *)
+let wake w =
+  if Atomic.get w.sleeping && Atomic.compare_and_set w.sleeping true false
+  then begin
+    Mutex.lock w.lock;
+    Condition.signal w.wake;
+    Mutex.unlock w.lock
+  end
+
+let rec wake_peers t me i =
+  if i < t.n then begin
+    if i <> me then wake t.workers.(i);
+    wake_peers t me (i + 1)
   end
 
 let post t ~core task =
-  Inbox.push t.workers.(core).inbox task;
-  notify t
+  let w = t.workers.(core) in
+  Inbox.push w.inbox task;
+  wake w
 
 let record_error t e = ignore (Atomic.compare_and_set t.error None (Some e))
 
 let finish t =
   if Atomic.fetch_and_add t.inflight (-1) = 1 then begin
-    Mutex.lock t.lock;
+    Mutex.lock t.idle_lock;
     Condition.broadcast t.idle;
-    Mutex.unlock t.lock
+    Mutex.unlock t.idle_lock
   end
 
 let make_handler t =
@@ -116,8 +148,8 @@ let make_handler t =
         | _ -> None);
   }
 
-let run_task w handler task =
-  w.executed <- w.executed + 1;
+let run_task t me handler task =
+  Slots.incr t.ctr ~d:me slot_executed;
   match task with
   | Done -> ()
   | Fresh f -> Effect.Deep.match_with f.body () handler
@@ -125,60 +157,78 @@ let run_task w handler task =
 
 (* Thief sweep over peers' deques, round-robin from me+1. A miss (empty
    or lost race) moves on; one full silent lap gives up. A hit leaves
-   the victim's index in [w.last_victim] (a plain owner-written field)
-   so the telemetry event can name it without the sweep returning a
-   pair. *)
-let rec sweep t w me i =
+   the victim's index in the worker's [slot_victim] slot so the
+   telemetry event can name it without the sweep returning a pair. *)
+let rec sweep t me i =
   if i >= t.n then Done
   else begin
     let j = me + i in
     let j = if j >= t.n then j - t.n else j in
     let v = Deque.steal t.workers.(j).deque in
     if v != Done then begin
-      w.last_victim <- j;
+      Slots.set t.ctr ~d:me slot_victim j;
       v
     end
-    else sweep t w me (i + 1)
+    else sweep t me (i + 1)
   end
 
-(* Telemetry brackets the blocking section only: a park that loses the
-   epoch race before taking the mutex was never asleep and records
-   nothing. *)
-let park t w e =
-  Atomic.incr t.sleepers;
-  if Atomic.get t.epoch = e && not (Atomic.get t.stop) then begin
+let rec deques_empty t i =
+  i >= t.n || (Deque.is_empty t.workers.(i).deque && deques_empty t (i + 1))
+
+(* Reads only: the spin's poll and the park's re-check. *)
+let has_work t w = (not (Inbox.is_empty w.inbox)) || not (deques_empty t 0)
+
+(* Only while clients are in flight: with none, work can come only from
+   the coordinator, which wants the CPU more than a spinner does. *)
+let rec spin t w n =
+  if n <= 0 || Atomic.get t.inflight = 0 || Atomic.get t.stop then false
+  else if has_work t w then true
+  else begin
+    Domain.cpu_relax ();
+    spin t w (n - 1)
+  end
+
+(* Telemetry brackets the blocking section only: a park whose re-check
+   finds work was never asleep and records nothing. *)
+let park t w =
+  Atomic.set w.sleeping true;
+  if has_work t w || Atomic.get t.stop then Atomic.set w.sleeping false
+  else begin
     if t.tel_on then Telemetry.note_park w.sink;
-    Mutex.lock t.lock;
-    while Atomic.get t.epoch = e && not (Atomic.get t.stop) do
-      Condition.wait t.wake t.lock
+    Mutex.lock w.lock;
+    while Atomic.get w.sleeping && not (Atomic.get t.stop) do
+      Condition.wait w.wake w.lock
     done;
-    Mutex.unlock t.lock;
+    Mutex.unlock w.lock;
+    (* A waker already cleared it; [stop] did not. *)
+    Atomic.set w.sleeping false;
     if t.tel_on then Telemetry.note_wake w.sink
-  end;
-  Atomic.decr t.sleepers
+  end
 
 let rec loop t w me handler on_task =
   if not (Atomic.get t.stop) then begin
-    let e = Atomic.get t.epoch in
     let drained = Inbox.drain_into w.inbox on_task in
     if drained > 0 && t.tel_on then
       Telemetry.note_inbox_batch w.sink ~count:drained;
     let task = Deque.pop w.deque in
     if task != Done then begin
-      run_task w handler task;
+      run_task t me handler task;
       loop t w me handler on_task
     end
     else if drained > 0 then loop t w me handler on_task
     else begin
-      let stolen = sweep t w me 1 in
+      let stolen = sweep t me 1 in
       if stolen != Done then begin
-        w.stolen <- w.stolen + 1;
-        if t.tel_on then Telemetry.note_steal w.sink ~victim:w.last_victim;
-        run_task w handler stolen;
+        Slots.incr t.ctr ~d:me slot_stolen;
+        if t.tel_on then begin
+          let victim = Slots.get t.ctr ~d:me slot_victim in
+          Telemetry.note_steal w.sink ~victim
+        end;
+        run_task t me handler stolen;
         loop t w me handler on_task
       end
       else begin
-        park t w e;
+        if not (spin t w t.spin) then park t w;
         loop t w me handler on_task
       end
     end
@@ -193,10 +243,10 @@ let worker_main t me () =
      and makes fresh client bodies stealable on the own deque. *)
   let on_task task =
     match task with
-    | Resume _ -> run_task w handler task
+    | Resume _ -> run_task t me handler task
     | Fresh _ ->
         Deque.push w.deque task;
-        notify t
+        wake_peers t me 0
     | Done -> ()
   in
   loop t w me handler on_task
@@ -208,9 +258,9 @@ let create ?(telemetry = Telemetry.off) ~domains () =
     {
       deque = Deque.create ~dummy:Done ();
       inbox = Inbox.create ~dummy:Done ();
-      executed = 0;
-      stolen = 0;
-      last_victim = -1;
+      sleeping = Atomic.make false;
+      lock = Mutex.create ();
+      wake = Condition.create ();
       sink = sinks.(i);
     }
   in
@@ -221,13 +271,14 @@ let create ?(telemetry = Telemetry.off) ~domains () =
       tel_on = Telemetry.enabled telemetry;
       coord_sink = Telemetry.coordinator telemetry;
       workers = Array.init domains worker;
+      ctr = Slots.create ~domains;
+      spin =
+        (if domains <= Domain.recommended_domain_count () then spin_limit
+         else 0);
       inflight = Atomic.make 0;
-      epoch = Atomic.make 0;
-      sleepers = Atomic.make 0;
       stop = Atomic.make false;
       error = Atomic.make None;
-      lock = Mutex.create ();
-      wake = Condition.create ();
+      idle_lock = Mutex.create ();
       idle = Condition.create ();
       handles = [||];
       down = false;
@@ -248,36 +299,45 @@ let spawn t ~core ~name body =
     Telemetry.note_spawned s ~core
   end;
   Atomic.incr t.inflight;
-  Inbox.push t.workers.(core).inbox (Fresh { name; body });
-  notify t
+  post t ~core (Fresh { name; body })
+
+let quiescent t = Atomic.get t.inflight = 0
 
 let drain t =
   if current_domain t >= 0 then
     invalid_arg "Native_pool.drain: must be called off-pool";
-  Mutex.lock t.lock;
+  Mutex.lock t.idle_lock;
   while Atomic.get t.inflight > 0 do
-    Condition.wait t.idle t.lock
+    Condition.wait t.idle t.idle_lock
   done;
-  Mutex.unlock t.lock;
+  Mutex.unlock t.idle_lock;
   match Atomic.get t.error with
   | None -> ()
   | Some e ->
       Atomic.set t.error None;
       raise e
 
+(* [stop] is set before each sleeper's mutex is taken, so a worker
+   either reads it in its wait loop or is already waiting for this
+   signal. *)
 let shutdown t =
   if not t.down then begin
     t.down <- true;
     Atomic.set t.stop true;
-    Atomic.incr t.epoch;
-    Mutex.lock t.lock;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.lock;
+    Array.iter
+      (fun w ->
+        Mutex.lock w.lock;
+        Condition.signal w.wake;
+        Mutex.unlock w.lock)
+      t.workers;
     Array.iter Domain.join t.handles
   end
 
-let tasks_executed t =
-  Array.fold_left (fun acc w -> acc + w.executed) 0 t.workers
+let parked t =
+  Array.fold_left
+    (fun acc w -> if Atomic.get w.sleeping then acc + 1 else acc)
+    0 t.workers
 
-let steals t = Array.fold_left (fun acc w -> acc + w.stolen) 0 t.workers
+let tasks_executed t = Slots.sum t.ctr ~domains:t.n slot_executed
+let steals t = Slots.sum t.ctr ~domains:t.n slot_stolen
 let telemetry t = t.tel

@@ -4,9 +4,13 @@
     idle peers) and an {!Inbox} (cross-domain delivery: client spawns
     from the coordinator, shipped operations from other workers). The
     worker loop drains the inbox, pops its own deque, then sweeps peers'
-    deques as a thief, and parks on a condition variable when the whole
-    pool looks quiet — an epoch ticket read before the final scan makes
-    the park race-free against concurrent posts.
+    deques as a thief, and when the whole pool looks quiet spins briefly
+    on read-only checks before parking on its own condition variable —
+    a per-worker [sleeping] flag, set before the final re-check and read
+    by posters after their push, makes the park race-free against
+    concurrent posts. Per-worker counters sit in padded slots, so the
+    busy path writes no cache line another domain uses except the
+    target inbox a ship hands over.
 
     Tasks run under an {!Effect.Deep} handler that interprets the
     shipping subset of {!O2_runtime.Api}: [Ship_to]/[Migrate_to] capture
@@ -26,7 +30,8 @@ type t
 val create : ?telemetry:O2_runtime.Telemetry.t -> domains:int -> unit -> t
 (** Spawn [domains] worker domains, idle until work arrives. The pool
     takes the count literally — oversubscribing the host is legal (the
-    correctness tests do it); CLI entry points clamp first via
+    correctness tests do it), and then idle workers park without
+    spinning first; CLI entry points clamp first via
     {!O2_runtime.Domain_pool.clamped}.
 
     [telemetry] (default {!O2_runtime.Telemetry.off}) attaches the
@@ -49,6 +54,12 @@ val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
     by an idle peer). Callable from the coordinator or from a worker.
     @raise Invalid_argument if [core] is out of range. *)
 
+val quiescent : t -> bool
+(** No spawned client is in flight (every one has finished). The
+    backend's quiesce-point operations check it. A snapshot: a concurrent
+    {!spawn} can falsify it at once, so only the coordinator, between
+    {!drain} and its next spawn, may rely on it. *)
+
 val drain : t -> unit
 (** Block the coordinator until every spawned client has finished. If
     any client raised, the first exception recorded is re-raised here
@@ -57,6 +68,10 @@ val drain : t -> unit
 val shutdown : t -> unit
 (** Stop and join every worker. The pool must be quiescent ({!drain}
     returned). Idempotent. *)
+
+val parked : t -> int
+(** Workers currently advertising sleep — a racy snapshot for tests and
+    diagnostics. *)
 
 val tasks_executed : t -> int
 (** Tasks run across all workers (client bodies plus resumed shipped /

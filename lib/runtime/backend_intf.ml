@@ -36,8 +36,10 @@ module type S = sig
 
   val register : t -> size:int -> name:string -> int
   (** Declare an object of [size] bytes; returns its dense handle.
-      Must be called while the backend is quiescent (before [run], or
-      between a completed [run] and the next spawn). *)
+      Must be called while the backend is quiescent: no spawned client
+      in flight, so before the first spawn or between a completed [run]
+      and the next spawn. The native backend raises [Invalid_argument]
+      otherwise. *)
 
   val objects : t -> int
   (** Handles issued so far; valid handles are [0 .. objects - 1]. *)

@@ -77,10 +77,12 @@ let default =
           "is_empty" ] };
     { module_ = "Native_pool";
       functions =
-        [ "loop"; "sweep"; "run_task"; "post"; "notify"; "park"; "finish";
+        [ "loop"; "sweep"; "run_task"; "post"; "wake"; "wake_peers";
+          "deques_empty"; "has_work"; "spin"; "park"; "finish";
           "current_domain" ] };
     { module_ = "Native_backend";
       functions = [ "with_op"; "touch"; "compute"; "delta" ] };
+    { module_ = "Slots"; functions = [ "index"; "incr"; "get"; "set" ] };
     (* native telemetry writers: every call site in the pool/backend is
        guarded by a cached bool, and when the recorder IS on the writers
        must still be flat int stores — ring append, counter bumps,

@@ -369,6 +369,29 @@ let test_native_with_op_telemetry_off () =
       O2_native.Native_backend.run b;
       check_zero_alloc "native with_op at home, telemetry off" out.(0))
 
+(* The idle path: a worker with nothing to do drains an empty inbox,
+   finds its own deque empty, and spins on read-only checks of the
+   inbox and the deques before it parks. None of it may allocate — it
+   runs for as long as the pool is quiet. Mirrors Native_pool.loop /
+   spin on public pieces, like the steal probe above. *)
+let test_native_idle_poll () =
+  let ib = O2_native.Inbox.create ~dummy:(-1) () in
+  let d = O2_native.Deque.create ~dummy:(-1) () in
+  let sum = ref 0 in
+  let f v = sum := !sum + v in
+  O2_native.Inbox.push ib 1;
+  ignore (O2_native.Inbox.drain_into ib f);
+  let words =
+    minor_words_during (fun () ->
+        for _ = 1 to iters do
+          let drained = O2_native.Inbox.drain_into ib f in
+          if drained = 0 && O2_native.Deque.pop d < 0 then
+            if O2_native.Inbox.is_empty ib && O2_native.Deque.is_empty d then
+              Domain.cpu_relax ()
+        done)
+  in
+  check_zero_alloc "native idle poll: empty drain and pop, spin check" words
+
 let suite =
   [
     Alcotest.test_case "event queue allocates nothing per event" `Quick
@@ -395,4 +418,6 @@ let suite =
       test_native_steal_path_telemetry_off;
     Alcotest.test_case "telemetry-off with_op allocates nothing" `Quick
       test_native_with_op_telemetry_off;
+    Alcotest.test_case "native idle poll allocates nothing" `Quick
+      test_native_idle_poll;
   ]

@@ -225,6 +225,71 @@ let test_pool_yield_and_scale () =
       checkb "telemetry counted the resumes" true
         (Native_pool.tasks_executed t >= 15))
 
+(* Run [f] on its own domain and fail — instead of hanging the suite —
+   if it has not returned within [seconds]. A timed-out [f] is left
+   blocked; the process exits around it. *)
+let within ~seconds what f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.002
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.failf "%s did not return within %.0f s" what seconds
+  | Some r -> (
+      Domain.join d;
+      match r with Ok v -> v | Error e -> raise e)
+
+(* The per-worker park/wake handshake under churn: many short rounds of
+   clients that bounce between domains, so workers keep going idle,
+   spinning out or parking, and being woken by a ship or a fresh spawn.
+   Most rounds run one client, so each ship is the only work in the
+   pool and a lost wakeup cannot be rescued by a later post to the same
+   worker: the continuation stays stranded in a sleeper's inbox and
+   [drain] never returns. Every eighth round pauses long enough for the
+   whole pool to park. At 4 domains on a 2-core host the pool is
+   oversubscribed, so workers park without spinning. *)
+let test_pool_no_lost_wakeup domains () =
+  let t = Native_pool.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Native_pool.shutdown t)
+    (fun () ->
+      let rounds = 2_000 and hops = 12 in
+      let clients r = if r land 3 = 0 then domains else 1 in
+      let spawned = ref 0 and finished = Atomic.make 0 in
+      within ~seconds:60.0 "ping-pong rounds" (fun () ->
+          for r = 1 to rounds do
+            spawned := !spawned + clients r;
+            for c = 0 to clients r - 1 do
+              Native_pool.spawn t ~core:(c mod domains) ~name:"ping-pong"
+                (fun () ->
+                  for h = 1 to hops do
+                    O2_runtime.Api.ship_to ((c + h) mod domains)
+                  done;
+                  Atomic.incr finished)
+            done;
+            Native_pool.drain t;
+            if r land 7 = 0 then Unix.sleepf 0.001
+          done);
+      checki "every client finished" !spawned (Atomic.get finished))
+
+let test_pool_shutdown_parked () =
+  let domains = 2 in
+  let t = Native_pool.create ~domains () in
+  Native_pool.spawn t ~core:0 ~name:"once" (fun () -> ());
+  Native_pool.drain t;
+  within ~seconds:10.0 "every worker parking" (fun () ->
+      while Native_pool.parked t < domains do
+        Unix.sleepf 0.001
+      done);
+  within ~seconds:5.0 "shutdown of a parked pool" (fun () ->
+      Native_pool.shutdown t);
+  checki "no worker left advertising sleep" 0 (Native_pool.parked t)
+
 (* ------------------------------------------------------------------ *)
 (* Backend counters and monitor invariants.                            *)
 (* ------------------------------------------------------------------ *)
@@ -267,6 +332,51 @@ let test_backend_counters () =
       checki "object_ops accumulate" 62 (Native_backend.object_ops b o0);
       let out, in_ = Native_backend.ships b in
       checki "ship balance after rebalance" out in_)
+
+(* register and rebalance rewrite [home] and regrow the counter rows
+   that workers read, so both must refuse to run while a client is in
+   flight — here one parked between [spawn] and [run] after submitting
+   ops that would re-home an object. *)
+let test_backend_quiesce_point () =
+  let b = Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let o0 = Native_backend.register b ~size:64 ~name:"a" in
+      let o1 = Native_backend.register b ~size:64 ~name:"b" in
+      let submitted = Atomic.make false and release = Atomic.make false in
+      Native_backend.spawn b ~core:0 ~name:"holder" (fun () ->
+          (* Submitting from domain 0 makes it o1's dominant submitter. *)
+          for _ = 1 to 10 do
+            O2_runtime.Api.ship_to 0;
+            Native_backend.with_op b o1 (fun () -> ())
+          done;
+          Atomic.set submitted true;
+          while not (Atomic.get release) do
+            Domain.cpu_relax ()
+          done);
+      while not (Atomic.get submitted) do
+        Domain.cpu_relax ()
+      done;
+      let rejected what f =
+        match f () with
+        | () -> Alcotest.failf "%s with a client in flight was accepted" what
+        | exception Invalid_argument _ -> ()
+      in
+      rejected "register" (fun () ->
+          ignore (Native_backend.register b ~size:64 ~name:"late"));
+      rejected "rebalance" (fun () -> Native_backend.rebalance b);
+      checki "no object registered" 2 (Native_backend.objects b);
+      checki "home of o0 unchanged" 0 (Native_backend.home b o0);
+      checki "home of o1 unchanged" 1 (Native_backend.home b o1);
+      Atomic.set release true;
+      Native_backend.run b;
+      (* At the quiesce point both are accepted, and the rebalance the
+         guard refused really would have moved o1. *)
+      Native_backend.rebalance b;
+      checki "o1 re-homed to its submitter" 0 (Native_backend.home b o1);
+      checki "register accepted" 2
+        (Native_backend.register b ~size:64 ~name:"c"))
 
 (* ------------------------------------------------------------------ *)
 (* The oracle: same program, both backends, identical results.         *)
@@ -462,4 +572,12 @@ let suite =
       (test_oracle_kv_with_telemetry 2);
     Alcotest.test_case "oracle: kv with telemetry at 4 domains" `Slow
       (test_oracle_kv_with_telemetry 4);
+    Alcotest.test_case "pool: no lost wakeup at 2 domains" `Quick
+      (test_pool_no_lost_wakeup 2);
+    Alcotest.test_case "pool: no lost wakeup at 4 domains" `Slow
+      (test_pool_no_lost_wakeup 4);
+    Alcotest.test_case "pool: shutdown joins a parked pool" `Quick
+      test_pool_shutdown_parked;
+    Alcotest.test_case "backend: register/rebalance need a quiesce point"
+      `Quick test_backend_quiesce_point;
   ]
