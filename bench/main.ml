@@ -81,8 +81,9 @@ let test_read_stream =
            (O2_simcore.Machine.read machine ~core:0 ~now:0 ~addr:(base + !off)
               ~len:4096)))
 
-(* One tiny end-to-end cell per figure: a full build + short simulation.
-   These are the units the figure sweeps repeat at scale. *)
+(* One tiny end-to-end cell per figure: a full build (8 directories) +
+   short simulation. These are the units the figure sweeps repeat at
+   scale. *)
 let figure_cell ~name ~policy ~oscillate =
   Test.make ~name
     (Staged.stage (fun () ->
@@ -142,6 +143,39 @@ let test_lookup =
   let d = O2_workload.Dir_workload.directory w 0 in
   Test.make ~name:"fat/lookup_host (1000-entry dir)"
     (Staged.stage (fun () -> ignore (O2_fs.Fat.lookup_host fs d "f999.dat")))
+
+(* Set-up path, under every figure cell: one directory populated with the
+   benchmark's 1000 names (encoded once, outside the row), then truncated
+   back to its empty head cluster through the image API so the next run
+   starts from the same state. The truncation (free 7 clusters, zero 4 KB)
+   is inside the row but small beside the 1000 slot writes. *)
+let test_populate =
+  let mem = O2_simcore.Memsys.create ~line_bytes:64 () in
+  let fs = O2_fs.Fat.format mem ~label:"p" ~clusters:16 () in
+  let d = Result.get_ok (O2_fs.Fat.mkdir fs "d") in
+  let img = O2_fs.Fat.image fs in
+  let names = O2_fs.Fat_name.numbered ~prefix:"f" ~count:1000 in
+  Test.make ~name:"fat/populate (1000-entry dir)"
+    (Staged.stage (fun () ->
+         Result.get_ok (O2_fs.Fat.populate fs d names);
+         (match O2_fs.Fat.dir_clusters fs d with
+         | _ :: next :: _ -> O2_fs.Fat_image.free_chain img next
+         | _ -> ());
+         O2_fs.Fat_image.fat_set img d.O2_fs.Fat.head O2_fs.Fat_types.fat_eoc;
+         Bytes.fill (O2_fs.Fat_image.buf img)
+           (O2_fs.Fat_image.cluster_off img d.O2_fs.Fat.head)
+           (O2_fs.Fat_image.cluster_bytes img) '\x00'))
+
+(* A 16 MB Figure 4 cell's build (512 directories x 1000 entries) on a
+   fresh machine, engine and CoreTime instance, as every cell pays it. *)
+let test_build_16mb =
+  let spec = O2_workload.Dir_workload.spec_for_data_kb ~kb:16384 () in
+  Test.make ~name:"dir_workload/build 16 MB"
+    (Staged.stage (fun () ->
+         let machine = O2_simcore.Machine.create O2_simcore.Config.amd16 in
+         let engine = O2_runtime.Engine.create machine in
+         let ct = Coretime.create ~policy:Coretime.Policy.baseline engine () in
+         ignore (O2_workload.Dir_workload.build ct spec)))
 
 (* The engine's innermost loop: one push + one pop against a heap kept at
    a realistic steady-state depth. Should sit at a handful of ns and
@@ -462,6 +496,8 @@ let bechamel_tests =
     (`Mid, test_read_stream);
     (`Slow, test_machine_step_serial);
     (`Mid, test_lookup);
+    (`Mid, test_populate);
+    (`Slow, test_build_16mb);
     (`Fast, test_event_queue);
     (`Fast, test_deque_push_pop);
     (`Fast, test_deque_steal);

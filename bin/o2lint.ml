@@ -11,7 +11,9 @@
       on shared tables plus a lock-protected shared counter;
    3. the same checkers over a small Figure-4 configuration: the paper's
       directory-lookup benchmark with oscillating popularity, so the
-      rebalancer runs and is audited while it works.
+      rebalancer runs and is audited while it works. Its FAT volume is
+      fscked after the build and its object table audited at the end;
+      either failing is a diagnostic.
 
    `dune build @lint` runs this over the tree. *)
 
@@ -73,7 +75,9 @@ let check_quickstart () =
   check
 
 (* Stage 3: a small Figure-4 point with oscillating popularity — the
-   monitor moves objects while the checkers watch the table. *)
+   monitor moves objects while the checkers watch the table. Returns the
+   checker plus the number of failed audits (volume structure, object
+   table index), each a diagnostic of its own. *)
 let check_fig4_small () =
   let machine = Machine.create Config.amd16 in
   let engine = Engine.create machine in
@@ -81,6 +85,21 @@ let check_fig4_small () =
   let check = O2_analysis.Analysis.attach ct in
   let spec = O2_workload.Dir_workload.spec_for_data_kb ~kb:1024 () in
   let w = O2_workload.Dir_workload.build ct spec in
+  let failed = ref 0 in
+  (* The bulk-built volume must be a well-formed FAT tree holding every
+     file of every directory. *)
+  let fsck = O2_fs.Fat_check.check (O2_workload.Dir_workload.fs w) in
+  let files =
+    spec.O2_workload.Dir_workload.dirs
+    * spec.O2_workload.Dir_workload.entries_per_dir
+  in
+  if O2_fs.Fat_check.ok fsck && fsck.O2_fs.Fat_check.files = files then
+    Format.printf "volume fsck: %a@." O2_fs.Fat_check.pp fsck
+  else begin
+    incr failed;
+    Format.printf "volume fsck: FAILED (expected %d files): %a@." files
+      O2_fs.Fat_check.pp fsck
+  end;
   O2_workload.Dir_workload.spawn_threads w;
   O2_workload.Phase.oscillate_active engine w ~period:1_500_000 ~divisor:4;
   Engine.run ~until:6_000_000 engine;
@@ -102,8 +121,10 @@ let check_fig4_small () =
         "object-table index audit: consistent (%d assigned, %d active)\n"
         (Coretime.Object_table.assigned_count (Coretime.table ct))
         (Coretime.Object_table.active_count (Coretime.table ct))
-  | Error e -> Printf.printf "object-table index audit: FAILED: %s\n" e);
-  check
+  | Error e ->
+      incr failed;
+      Printf.printf "object-table index audit: FAILED: %s\n" e);
+  (check, !failed)
 
 let print_dynamic name check =
   let open O2_analysis in
@@ -147,7 +168,8 @@ let run_lint root skip_source skip_dynamic =
     banner "dynamic checks: quickstart workload";
     issues := !issues + print_dynamic "quickstart" (check_quickstart ());
     banner "dynamic checks: figure-4 small";
-    issues := !issues + print_dynamic "figure-4 small" (check_fig4_small ())
+    let check, failed_audits = check_fig4_small () in
+    issues := !issues + failed_audits + print_dynamic "figure-4 small" check
   end;
   if !issues = 0 then begin
     print_endline "o2lint: no diagnostics";

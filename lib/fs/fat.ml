@@ -200,27 +200,7 @@ let add_file t d ~name ~size =
           size;
         }
 
-let populate t d ~prefix ~count =
-  (* Bulk append: names are fresh by construction, so skip per-entry
-     duplicate scans (population of large volumes is O(n), not O(n^2)). *)
-  let rec make i acc =
-    if i < 0 then Ok acc
-    else
-      match Fat_name.to_83 (Printf.sprintf "%s%d.dat" prefix i) with
-      | Error e -> Error e
-      | Ok name83 ->
-          make (i - 1)
-            ({
-               Fat_types.name = name83;
-               attr = Fat_types.attr_archive;
-               first_cluster = 0;
-               size = 0;
-             }
-            :: acc)
-  in
-  match make (count - 1) [] with
-  | Error e -> Error e
-  | Ok entries -> Fat_dir.append_bulk t.img ~head:d.head entries
+let populate t d names83 = Fat_dir.append_bulk t.img ~head:d.head names83
 
 let lookup t d name =
   match Fat_name.to_83 name with

@@ -63,10 +63,14 @@ val add_file : t -> dir -> name:string -> size:int -> (unit, string) result
 (** Create a file entry (no data clusters are allocated: the benchmark
     only resolves names). *)
 
-val populate :
-  t -> dir -> prefix:string -> count:int -> (unit, string) result
-(** Add [count] files named [<prefix><i>.dat]; the benchmark's 1000
-    entries per directory. *)
+val populate : t -> dir -> string array -> (unit, string) result
+(** Add one empty file per already-encoded 8.3 name, in order: the
+    benchmark's 1000 entries per directory, from one
+    {!Fat_name.numbered} array shared by every directory. All or nothing:
+    on [Error] (a name that is not valid encoded 8.3, or too few free
+    clusters) the directory and the volume are unchanged. The caller
+    guarantees the names are distinct and not already in [dir]; see
+    {!Fat_dir.append_bulk}. *)
 
 val lookup : t -> dir -> string -> Fat_types.entry option
 (** Simulated name resolution (call inside a thread; caller holds the

@@ -135,45 +135,48 @@ let add img ~head entry =
     scan_chain (Fat_image.chain img head)
   end
 
-let append_bulk img ~head entries =
-  let buf = Fat_image.buf img in
-  let per = entries_per_cluster img in
-  (* Find the append point: last cluster of the chain and the index of its
-     end marker (or the cluster's end). *)
-  let chain = Fat_image.chain img head in
-  let rec find_tail = function
-    | [] -> assert false
-    | [ last ] ->
-        let base = Fat_image.cluster_off img last in
-        let rec slot i =
-          if i >= per then (last, per)
-          else if Fat_types.is_end buf ~off:(base + (i * Fat_types.entry_bytes))
-          then (last, i)
-          else slot (i + 1)
-        in
-        slot 0
-    | _ :: rest -> find_tail rest
+(* Slot index of the end-of-directory marker in [cluster], or [per] when
+   the cluster is full. *)
+let end_slot img cluster =
+  let buf = Fat_image.buf img and per = entries_per_cluster img in
+  let base = Fat_image.cluster_off img cluster in
+  let rec go i =
+    if i >= per || Fat_types.is_end buf ~off:(base + (i * Fat_types.entry_bytes))
+    then i
+    else go (i + 1)
   in
-  let cluster, slot = find_tail chain in
-  let rec go cluster slot = function
-    | [] -> Ok ()
-    | entry :: rest ->
-        if slot >= per then begin
-          match Fat_image.alloc_cluster img ~prev:(Some cluster) with
-          | None -> Error "volume full"
-          | Some fresh ->
-              zero_cluster img fresh;
-              go fresh 0 (entry :: rest)
-        end
-        else begin
-          Fat_types.encode_entry entry buf
-            ~off:
-              (Fat_image.cluster_off img cluster
-              + (slot * Fat_types.entry_bytes));
-          go cluster (slot + 1) rest
-        end
-  in
-  go cluster slot entries
+  go 0
+
+let rec fill img per names83 i cluster slot =
+  if i < Array.length names83 then
+    if slot = per then begin
+      match Fat_image.alloc_cluster img ~prev:(Some cluster) with
+      | None -> assert false (* free count checked by append_bulk *)
+      | Some fresh ->
+          zero_cluster img fresh;
+          fill img per names83 i fresh 0
+    end
+    else begin
+      Fat_types.encode_file names83.(i) (Fat_image.buf img)
+        ~off:(Fat_image.cluster_off img cluster + (slot * Fat_types.entry_bytes));
+      fill img per names83 (i + 1) cluster (slot + 1)
+    end
+
+let append_bulk img ~head names83 =
+  match Array.find_opt (fun n -> not (Fat_name.is_83 n)) names83 with
+  | Some bad -> Error (Printf.sprintf "not an encoded 8.3 name: %S" bad)
+  | None ->
+      let chain = Fat_image.chain img head in
+      let last = List.nth chain (List.length chain - 1) in
+      let per = entries_per_cluster img in
+      let slot = end_slot img last in
+      let spill = slot + Array.length names83 - per in
+      let needed = if spill <= 0 then 0 else (spill + per - 1) / per in
+      if needed > Fat_image.free_clusters img then Error "volume full"
+      else begin
+        fill img per names83 0 last slot;
+        Ok ()
+      end
 
 let remove img ~head ~name83 =
   let buf = Fat_image.buf img in

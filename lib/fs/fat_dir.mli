@@ -18,10 +18,15 @@ val add : Fat_image.t -> head:int -> Fat_types.entry -> (unit, string) result
     full or the entry name duplicates an existing one. *)
 
 val append_bulk :
-  Fat_image.t -> head:int -> Fat_types.entry list -> (unit, string) result
-(** Append entries in order without duplicate checks, extending the chain
-    as needed: O(chain + entries) where {!add} is O(chain) per entry. The
-    caller guarantees the names are fresh (directory population). *)
+  Fat_image.t -> head:int -> string array -> (unit, string) result
+(** Append one empty file entry per already-encoded 8.3 name (see
+    {!Fat_name.numbered}), in order, extending the chain as needed: each
+    slot is written straight from its name, so this is O(chain + names)
+    where {!add} is O(chain) per entry. All or nothing: when a name is not
+    a valid encoded 8.3 name ({!Fat_name.is_83}) or the volume has too few
+    free clusters, it returns [Error] having written nothing. There is no
+    duplicate check: the caller guarantees the names are distinct and
+    absent from the directory (directory population). *)
 
 val remove : Fat_image.t -> head:int -> name83:string -> bool
 (** Mark an entry deleted; false when absent. *)

@@ -32,6 +32,35 @@ let to_83 name =
 let to_83_exn name =
   match to_83 name with Ok s -> s | Error e -> invalid_arg ("Fat_name: " ^ e)
 
+let numbered ~prefix ~count =
+  Array.init count (fun i -> to_83_exn (prefix ^ string_of_int i ^ ".dat"))
+
+(* What each byte may be in an encoded name: 'c' a character {!to_83}
+   keeps (valid and not lowercase), ' ' padding, 'x' neither. A table,
+   because {!is_83} runs on every name of every directory populated. *)
+let byte_class =
+  String.init 256 (fun i ->
+      let c = Char.chr i in
+      if c = ' ' then ' '
+      else if valid_char c && not (c >= 'a' && c <= 'z') then 'c'
+      else 'x')
+
+(* One part of an encoded name, bytes [i, stop): characters, then only
+   padding. *)
+let rec part_ok s i stop padding =
+  i = stop
+  ||
+  match String.unsafe_get byte_class (Char.code (String.unsafe_get s i)) with
+  | 'c' -> (not padding) && part_ok s (i + 1) stop false
+  | ' ' -> part_ok s (i + 1) stop true
+  | _ -> false
+
+let is_83 s =
+  String.length s = 11
+  && String.unsafe_get s 0 <> ' '
+  && part_ok s 0 8 false
+  && part_ok s 8 11 false
+
 let of_83 s =
   if String.length s <> 11 then invalid_arg "Fat_name.of_83: not 11 bytes";
   let strip part = String.trim part in

@@ -31,6 +31,11 @@ let encode_entry e b ~off =
   put16 b (off + 26) e.first_cluster;
   put32 b (off + 28) e.size
 
+let encode_file name83 b ~off =
+  Bytes.blit_string name83 0 b off 11;
+  Bytes.set b (off + 11) (Char.chr attr_archive);
+  Bytes.fill b (off + 12) 20 '\x00'
+
 let decode_entry b ~off =
   {
     name = Bytes.sub_string b off 11;

@@ -43,6 +43,11 @@ val get32 : bytes -> int -> int
 val encode_entry : entry -> bytes -> off:int -> unit
 (** Serialise into 32 bytes at [off]. *)
 
+val encode_file : string -> bytes -> off:int -> unit
+(** [encode_file name83 b ~off] writes the same 32 bytes as {!encode_entry}
+    for an empty file ([attr_archive], cluster 0, size 0) named [name83],
+    without building the record. [name83] must be 11 bytes. *)
+
 val decode_entry : bytes -> off:int -> entry
 val is_end : bytes -> off:int -> bool
 val is_deleted : bytes -> off:int -> bool

@@ -14,7 +14,10 @@ let test_name_encode () =
   Alcotest.(check (result string string)) "no extension" (Ok "README     ")
     (Fat_name.to_83 "readme");
   Alcotest.(check (result string string)) "full width" (Ok "ABCDEFGHIJK")
-    (Fat_name.to_83 "abcdefgh.ijk")
+    (Fat_name.to_83 "abcdefgh.ijk");
+  Alcotest.(check (array string)) "numbered"
+    [| "F0      DAT"; "F1      DAT"; "F2      DAT" |]
+    (Fat_name.numbered ~prefix:"f" ~count:3)
 
 let test_name_rejects () =
   let bad s = Result.is_error (Fat_name.to_83 s) in
@@ -52,7 +55,8 @@ let prop_valid_names_roundtrip =
     (fun n ->
       match Fat_name.to_83 n with
       | Error _ -> false
-      | Ok enc -> String.length enc = 11 && Fat_name.of_83 enc = n)
+      | Ok enc ->
+          String.length enc = 11 && Fat_name.is_83 enc && Fat_name.of_83 enc = n)
 
 (* ---------- entries ---------- *)
 
@@ -168,34 +172,72 @@ let test_dir_grows_across_clusters () =
     (Fat_dir.find img ~head ~name83:(Fat_name.to_83_exn (Printf.sprintf "f%d.dat" (n - 1)))
     <> None)
 
-let test_append_bulk_matches_add () =
-  let img1 = image () and img2 = image () in
-  let head1 = Option.get (Fat_image.alloc_cluster img1 ~prev:None) in
-  let head2 = Option.get (Fat_image.alloc_cluster img2 ~prev:None) in
-  let entries =
-    List.init 40 (fun i ->
-        {
-          Fat_types.name = Fat_name.to_83_exn (Printf.sprintf "f%d.dat" i);
-          attr = Fat_types.attr_archive;
-          first_cluster = 0;
-          size = i;
-        })
-  in
-  List.iter (fun e -> Result.get_ok (Fat_dir.add img1 ~head:head1 e)) entries;
-  Result.get_ok (Fat_dir.append_bulk img2 ~head:head2 entries);
-  Alcotest.(check bool) "same listing" true
-    (Fat_dir.list img1 ~head:head1 = Fat_dir.list img2 ~head:head2)
-
 (* ---------- Fat facade + simulated lookups ---------- *)
 
 let fat () =
   let m = Memsys.create ~line_bytes:64 () in
   (m, Fat.format m ~label:"t" ~cluster_bytes:512 ~clusters:256 ())
 
+(* Populating from encoded names writes exactly the bytes that adding the
+   same files one at a time does, including when the append starts
+   mid-cluster in an already populated directory. *)
+let test_append_bulk_matches_add () =
+  let _, fs1 = fat () and _, fs2 = fat () in
+  let d1 = Result.get_ok (Fat.mkdir fs1 "d") in
+  let d2 = Result.get_ok (Fat.mkdir fs2 "d") in
+  let names = Fat_name.numbered ~prefix:"f" ~count:40 in
+  Array.iter
+    (fun n ->
+      Result.get_ok (Fat.add_file fs1 d1 ~name:(Fat_name.of_83 n) ~size:0))
+    names;
+  Result.get_ok (Fat.populate fs2 d2 (Array.sub names 0 25));
+  Result.get_ok (Fat.populate fs2 d2 (Array.sub names 25 15));
+  Alcotest.(check int) "three clusters" 3 (List.length (Fat.dir_clusters fs2 d2));
+  Alcotest.(check bool) "same listing" true
+    (Fat.readdir fs1 d1 = Fat.readdir fs2 d2);
+  Alcotest.(check bool) "same image bytes" true
+    (Bytes.equal (Fat_image.buf (Fat.image fs1)) (Fat_image.buf (Fat.image fs2)))
+
+let test_populate_all_or_nothing () =
+  let m = Memsys.create ~line_bytes:64 () in
+  (* root + one directory leave 6 free clusters of 16 slots each *)
+  let fs = Fat.format m ~label:"t" ~cluster_bytes:512 ~clusters:8 () in
+  let d = Result.get_ok (Fat.mkdir fs "d") in
+  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:10));
+  let img = Fat.image fs in
+  let before = Bytes.copy (Fat_image.buf img) in
+  let unchanged what =
+    Alcotest.(check int) (what ^ ": count unchanged") 10
+      (Fat_dir.count img ~head:d.Fat.head);
+    Alcotest.(check int) (what ^ ": free clusters unchanged") 6
+      (Fat_image.free_clusters img);
+    Alcotest.(check bool) (what ^ ": image unchanged") true
+      (Bytes.equal before (Fat_image.buf img));
+    Alcotest.(check bool) (what ^ ": fsck clean") true
+      (Fat_check.ok (Fat_check.check fs))
+  in
+  (* 6 slots left in the head cluster + 6 * 16 = 102 names fit; 103 do not *)
+  let more = Fat_name.numbered ~prefix:"g" ~count:103 in
+  Alcotest.(check bool) "over capacity is an error" true
+    (Result.is_error (Fat.populate fs d more));
+  unchanged "over capacity";
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" bad) true
+        (Result.is_error (Fat.populate fs d [| more.(0); bad |]));
+      unchanged (Printf.sprintf "name %S" bad))
+    [ "G0.DAT"; "g1      DAT"; "        DAT"; "G 2     DAT"; "G:3     DAT" ];
+  Result.get_ok (Fat.populate fs d (Array.sub more 0 102));
+  Alcotest.(check int) "exactly full" 0 (Fat_image.free_clusters img);
+  Alcotest.(check int) "all entries" 112 (Fat_dir.count img ~head:d.Fat.head);
+  Alcotest.(check bool) "fsck clean when full" true
+    (Fat_check.ok (Fat_check.check fs))
+
 let test_fat_mkdir_and_host_lookup () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "www") in
-  Result.get_ok (Fat.populate fs d ~prefix:"page" ~count:30);
+  Result.get_ok
+    (Fat.populate fs d (Fat_name.numbered ~prefix:"page" ~count:30));
   Alcotest.(check bool) "host lookup hit" true (Fat.lookup_host fs d "page7.dat" <> None);
   Alcotest.(check bool) "host lookup miss" true (Fat.lookup_host fs d "nope.dat" = None);
   Alcotest.(check int) "readdir count" 30 (List.length (Fat.readdir fs d));
@@ -207,7 +249,7 @@ let test_fat_sim_lookup_agrees_with_host () =
   let machine = Machine.create Config.amd16 in
   let fs = Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512 ~clusters:256 () in
   let d = Result.get_ok (Fat.mkdir fs "docs") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:100);
+  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:100));
   let engine = O2_runtime.Engine.create machine in
   let sim_result = ref None and sim_miss = ref (Some Fat_types.{ name = ""; attr = 0; first_cluster = 0; size = 0 }) in
   ignore
@@ -225,7 +267,7 @@ let test_fat_lookup_locked_serializes () =
   let machine = Machine.create Config.amd16 in
   let fs = Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512 ~clusters:512 () in
   let d = Result.get_ok (Fat.mkdir fs "shared") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:200);
+  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:200));
   let engine = O2_runtime.Engine.create machine in
   let hits = ref 0 in
   for core = 0 to 3 do
@@ -244,7 +286,7 @@ let test_fat_lookup_locked_serializes () =
 let test_fsck_clean_and_detects_corruption () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "a") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:50);
+  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:50));
   let r = Fat_check.check fs in
   Alcotest.(check bool) "clean volume" true (Fat_check.ok r);
   Alcotest.(check int) "two directories (root + a)" 2 r.Fat_check.directories;
@@ -265,7 +307,7 @@ let test_fat_rejects_invalid_names () =
 let test_dir_object_identity () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "obj") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:40);
+  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:40));
   Alcotest.(check int) "base addr = first cluster addr"
     (Fat_image.cluster_addr (Fat.image fs) d.Fat.head)
     (Fat.dir_base_addr fs d);
@@ -277,7 +319,8 @@ let test_nested_dirs_and_paths () =
   let _, fs = fat () in
   let www = Result.get_ok (Fat.mkdir fs "www") in
   let static = Result.get_ok (Fat.mkdir_in fs www "static") in
-  Result.get_ok (Fat.populate fs static ~prefix:"img" ~count:10);
+  Result.get_ok
+    (Fat.populate fs static (Fat_name.numbered ~prefix:"img" ~count:10));
   Alcotest.(check (option string)) "registered under its path" (Some "/www/static")
     (Option.map (fun d -> d.Fat.dname) (Fat.find_dir fs "/www/static"));
   Alcotest.(check bool) "parent of static is www" true
@@ -315,7 +358,7 @@ let test_resolve_sim_agrees () =
       ~clusters:256 ()
   in
   let sub = Result.get_ok (Fat.mkdir_path fs "/srv/data") in
-  Result.get_ok (Fat.populate fs sub ~prefix:"f" ~count:20);
+  Result.get_ok (Fat.populate fs sub (Fat_name.numbered ~prefix:"f" ~count:20));
   let engine = O2_runtime.Engine.create machine in
   let hit = ref None and miss = ref (Some (`Dir (Fat.root fs))) in
   ignore
@@ -395,6 +438,7 @@ let suite =
     Alcotest.test_case "dir add/find/remove/reuse" `Quick test_dir_add_find_remove;
     Alcotest.test_case "dir grows across clusters" `Quick test_dir_grows_across_clusters;
     Alcotest.test_case "append_bulk = repeated add" `Quick test_append_bulk_matches_add;
+    Alcotest.test_case "populate is all-or-nothing" `Quick test_populate_all_or_nothing;
     Alcotest.test_case "mkdir + host lookups" `Quick test_fat_mkdir_and_host_lookup;
     Alcotest.test_case "simulated lookup agrees with host" `Quick test_fat_sim_lookup_agrees_with_host;
     Alcotest.test_case "locked lookups serialize" `Quick test_fat_lookup_locked_serializes;

@@ -81,7 +81,9 @@ let test_fat_scan_miss () =
     | Ok d -> d
     | Error e -> Alcotest.failf "mkdir: %s" e
   in
-  (match O2_fs.Fat.populate fs dir ~prefix:"f" ~count:100 with
+  (match
+     O2_fs.Fat.populate fs dir (O2_fs.Fat_name.numbered ~prefix:"f" ~count:100)
+   with
   | Ok () -> ()
   | Error e -> Alcotest.failf "populate: %s" e);
   let img = O2_fs.Fat.image fs in

@@ -105,6 +105,32 @@ let test_workload_builds_valid_volume () =
   Alcotest.(check int) "dir object sized by its cluster chain" rounded
     (Dir_workload.dir_object w 0).Coretime.Object_table.size
 
+(* The built volumes, byte for byte. The digests, addresses and sizes
+   were computed with the per-entry encoder that populated directories
+   before names were encoded once per build; they pin the image layout,
+   the cluster allocation order (every mkdir first, then each directory's
+   chain in turn) and hence every object's identity. *)
+let test_built_volume_pinned () =
+  let pin label spec ~digest ~first_addr =
+    let _, w = build ~spec () in
+    let fs = Dir_workload.fs w in
+    Alcotest.(check string) (label ^ ": image digest") digest
+      (Digest.to_hex (Digest.bytes (O2_fs.Fat_image.buf (O2_fs.Fat.image fs))));
+    let dirs = List.init spec.Dir_workload.dirs (Dir_workload.directory w) in
+    Alcotest.(check (list int)) (label ^ ": dir_base_addr")
+      (List.mapi (fun i _ -> first_addr + (4096 * i)) dirs)
+      (List.map (O2_fs.Fat.dir_base_addr fs) dirs);
+    Alcotest.(check (list int)) (label ^ ": dir_bytes")
+      (List.map (fun _ -> 32768) dirs)
+      (List.map (O2_fs.Fat.dir_bytes fs) dirs)
+  in
+  pin "8 dirs"
+    { Dir_workload.default_spec with dirs = 8 }
+    ~digest:"eaebc90c7236e478c6578cfa12f7fc8e" ~first_addr:9216;
+  pin "1024 KB"
+    (Dir_workload.spec_for_data_kb ~kb:1024 ())
+    ~digest:"6d83e3cc7b57ef6fdf6960ff1112e3f9" ~first_addr:9728
+
 let test_one_lookup_resolves () =
   let engine, w = build () in
   let ok = ref false in
@@ -255,6 +281,7 @@ let suite =
     Alcotest.test_case "fixed distribution" `Quick test_fixed;
     Alcotest.test_case "workload geometry (paper sizes)" `Quick test_workload_geometry;
     Alcotest.test_case "workload builds a valid volume" `Quick test_workload_builds_valid_volume;
+    Alcotest.test_case "built volumes pinned byte for byte" `Quick test_built_volume_pinned;
     Alcotest.test_case "one_lookup resolves and counts" `Quick test_one_lookup_resolves;
     Alcotest.test_case "set_active clamps" `Quick test_set_active_clamps;
     Alcotest.test_case "active prefix respected" `Quick test_active_prefix_respected;
