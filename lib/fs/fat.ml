@@ -200,7 +200,10 @@ let add_file t d ~name ~size =
           size;
         }
 
-let populate t d names83 = Fat_dir.append_bulk t.img ~head:d.head names83
+type listing = Fat_dir.listing
+
+let listing_of_names83 = Fat_dir.listing_of_names83
+let populate t d listing = Fat_dir.append_bulk t.img ~head:d.head listing
 
 let lookup t d name =
   match Fat_name.to_83 name with

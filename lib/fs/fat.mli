@@ -63,14 +63,22 @@ val add_file : t -> dir -> name:string -> size:int -> (unit, string) result
 (** Create a file entry (no data clusters are allocated: the benchmark
     only resolves names). *)
 
-val populate : t -> dir -> string array -> (unit, string) result
-(** Add one empty file per already-encoded 8.3 name, in order: the
-    benchmark's 1000 entries per directory, from one
-    {!Fat_name.numbered} array shared by every directory. All or nothing:
-    on [Error] (a name that is not valid encoded 8.3, or too few free
-    clusters) the directory and the volume are unchanged. The caller
-    guarantees the names are distinct and not already in [dir]; see
-    {!Fat_dir.append_bulk}. *)
+type listing = Fat_dir.listing
+(** Encoded directory slots, checked and built once (see
+    {!Fat_dir.listing}). *)
+
+val listing_of_names83 : string array -> (listing, string) result
+(** {!Fat_dir.listing_of_names83}: [Error] names the first name that is
+    not a valid encoded 8.3 name. *)
+
+val populate : t -> dir -> listing -> (unit, string) result
+(** Add the listing's empty files to [dir], in order: the benchmark's 1000
+    entries per directory, from one listing of {!Fat_name.numbered} names
+    shared by every directory. Each cluster written costs one copy of the
+    listing's bytes; no name is checked or encoded here. All or nothing:
+    on [Error] (too few free clusters) the directory and the volume are
+    unchanged. The caller guarantees the names are distinct and not
+    already in [dir]; see {!Fat_dir.append_bulk}. *)
 
 val lookup : t -> dir -> string -> Fat_types.entry option
 (** Simulated name resolution (call inside a thread; caller holds the

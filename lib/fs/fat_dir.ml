@@ -91,48 +91,77 @@ let zero_cluster img cluster =
     (Fat_image.cluster_off img cluster)
     (Fat_image.cluster_bytes img) '\x00'
 
-let add img ~head entry =
-  if find img ~head ~name83:entry.Fat_types.name <> None then
-    Error (Printf.sprintf "duplicate entry %S" entry.Fat_types.name)
+(* [add]'s single walk: the duplicate check and the first free slot (the
+   first deleted slot, else the end-of-directory marker) in one pass over
+   the chain. [free] carries the first deleted slot seen so far. *)
+type add_slot =
+  | Duplicate
+  | Slot of int * int  (* cluster, slot *)
+  | Extend of int  (* no free slot: grow the chain after this cluster *)
+
+let rec add_walk img per name83 total cluster steps free =
+  if steps > total then failwith "Fat_dir.add: cycle in cluster chain"
   else begin
-    let buf = Fat_image.buf img in
-    let per = entries_per_cluster img in
-    let write_at cluster slot =
-      Fat_types.encode_entry entry buf
-        ~off:(Fat_image.cluster_off img cluster + (slot * Fat_types.entry_bytes));
-      Ok ()
+    let buf = Fat_image.buf img and base = Fat_image.cluster_off img cluster in
+    let rec go i free =
+      if i >= per then begin
+        let next = Fat_image.next_cluster img cluster in
+        if next >= 0 then add_walk img per name83 total next (steps + 1) free
+        else match free with Some s -> s | None -> Extend cluster
+      end
+      else begin
+        let off = base + (i * Fat_types.entry_bytes) in
+        if Fat_types.is_end buf ~off then
+          (match free with Some s -> s | None -> Slot (cluster, i))
+        else if Fat_types.is_deleted buf ~off then
+          go (i + 1) (if free = None then Some (Slot (cluster, i)) else free)
+        else if Fat_types.name_matches buf ~off name83 then Duplicate
+        else go (i + 1) free
+      end
     in
-    (* First free slot: a deleted entry or the end marker. Writing over the
-       end marker is safe because the rest of the cluster is zero. *)
-    let rec scan_chain = function
-      | [] -> assert false
-      | [ last ] -> (
-          match free_slot last with
-          | Some slot -> write_at last slot
-          | None -> (
-              match Fat_image.alloc_cluster img ~prev:(Some last) with
-              | None -> Error "volume full"
-              | Some fresh ->
-                  zero_cluster img fresh;
-                  write_at fresh 0))
-      | cluster :: rest -> (
-          match free_slot cluster with
-          | Some slot -> write_at cluster slot
-          | None -> scan_chain rest)
-    and free_slot cluster =
-      let base = Fat_image.cluster_off img cluster in
-      let rec go i =
-        if i >= per then None
-        else begin
-          let off = base + (i * Fat_types.entry_bytes) in
-          if Fat_types.is_end buf ~off || Fat_types.is_deleted buf ~off then
-            Some i
-          else go (i + 1)
-        end
-      in
-      go 0
-    in
-    scan_chain (Fat_image.chain img head)
+    go 0 free
+  end
+
+let add img ~head entry =
+  let write_at cluster slot =
+    Fat_types.encode_entry entry (Fat_image.buf img)
+      ~off:(Fat_image.cluster_off img cluster + (slot * Fat_types.entry_bytes));
+    Ok ()
+  in
+  (* Writing over the end marker is safe because the rest of the cluster
+     is zero. *)
+  match
+    add_walk img (entries_per_cluster img) entry.Fat_types.name
+      (Fat_image.total_clusters img) head 0 None
+  with
+  | Duplicate -> Error (Printf.sprintf "duplicate entry %S" entry.Fat_types.name)
+  | Slot (cluster, slot) -> write_at cluster slot
+  | Extend last -> (
+      match Fat_image.alloc_cluster img ~prev:(Some last) with
+      | None -> Error "volume full"
+      | Some fresh ->
+          zero_cluster img fresh;
+          write_at fresh 0)
+
+(* A listing is the directory slots of its names, encoded back to back:
+   [n * entry_bytes] bytes, every name checked when it was built. *)
+type listing = Bytes.t
+
+let listing_of_names83 names83 =
+  match Array.find_opt (fun n -> not (Fat_name.is_83 n)) names83 with
+  | Some bad -> Error (Printf.sprintf "not an encoded 8.3 name: %S" bad)
+  | None ->
+      let slots = Bytes.create (Array.length names83 * Fat_types.entry_bytes) in
+      Array.iteri
+        (fun i n -> Fat_types.encode_file n slots ~off:(i * Fat_types.entry_bytes))
+        names83;
+      Ok slots
+
+let rec last_cluster img total cluster steps =
+  if steps > total then failwith "Fat_dir.append_bulk: cycle in cluster chain"
+  else begin
+    let next = Fat_image.next_cluster img cluster in
+    if next < 0 then cluster else last_cluster img total next (steps + 1)
   end
 
 (* Slot index of the end-of-directory marker in [cluster], or [per] when
@@ -147,36 +176,33 @@ let end_slot img cluster =
   in
   go 0
 
-let rec fill img per names83 i cluster slot =
-  if i < Array.length names83 then
-    if slot = per then begin
-      match Fat_image.alloc_cluster img ~prev:(Some cluster) with
-      | None -> assert false (* free count checked by append_bulk *)
-      | Some fresh ->
-          zero_cluster img fresh;
-          fill img per names83 i fresh 0
-    end
-    else begin
-      Fat_types.encode_file names83.(i) (Fat_image.buf img)
-        ~off:(Fat_image.cluster_off img cluster + (slot * Fat_types.entry_bytes));
-      fill img per names83 (i + 1) cluster (slot + 1)
-    end
+(* Copy [listing] from byte [src] on into [cluster] from byte [off] of it,
+   then into fresh clusters linked after it: one blit per cluster. The
+   unused tail of the last cluster written is zeroed, so the byte after
+   the last slot is the end-of-directory marker even in a fresh cluster
+   that still holds a freed chain's stale bytes. *)
+let rec blit_listing img listing src cluster off =
+  let buf = Fat_image.buf img and cb = Fat_image.cluster_bytes img in
+  let base = Fat_image.cluster_off img cluster in
+  let n = min (Bytes.length listing - src) (cb - off) in
+  Bytes.blit listing src buf (base + off) n;
+  if src + n < Bytes.length listing then
+    match Fat_image.alloc_cluster img ~prev:(Some cluster) with
+    | None -> assert false (* free count checked by append_bulk *)
+    | Some fresh -> blit_listing img listing (src + n) fresh 0
+  else Bytes.fill buf (base + off + n) (cb - off - n) '\x00'
 
-let append_bulk img ~head names83 =
-  match Array.find_opt (fun n -> not (Fat_name.is_83 n)) names83 with
-  | Some bad -> Error (Printf.sprintf "not an encoded 8.3 name: %S" bad)
-  | None ->
-      let chain = Fat_image.chain img head in
-      let last = List.nth chain (List.length chain - 1) in
-      let per = entries_per_cluster img in
-      let slot = end_slot img last in
-      let spill = slot + Array.length names83 - per in
-      let needed = if spill <= 0 then 0 else (spill + per - 1) / per in
-      if needed > Fat_image.free_clusters img then Error "volume full"
-      else begin
-        fill img per names83 0 last slot;
-        Ok ()
-      end
+let append_bulk img ~head listing =
+  let last = last_cluster img (Fat_image.total_clusters img) head 0 in
+  let per = entries_per_cluster img in
+  let slot = end_slot img last in
+  let spill = slot + (Bytes.length listing / Fat_types.entry_bytes) - per in
+  let needed = if spill <= 0 then 0 else (spill + per - 1) / per in
+  if needed > Fat_image.free_clusters img then Error "volume full"
+  else begin
+    blit_listing img listing 0 last (slot * Fat_types.entry_bytes);
+    Ok ()
+  end
 
 let remove img ~head ~name83 =
   let buf = Fat_image.buf img in

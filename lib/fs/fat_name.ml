@@ -32,12 +32,29 @@ let to_83 name =
 let to_83_exn name =
   match to_83 name with Ok s -> s | Error e -> invalid_arg ("Fat_name: " ^ e)
 
+(* Every name differs from the others only in its digits, and the last
+   has the most, so checking it checks them all: if it fits in 8.3, so
+   does every shorter one. Each name is then written straight into its 11
+   bytes: the upper-cased prefix, the digits, padding and "DAT". *)
 let numbered ~prefix ~count =
-  Array.init count (fun i -> to_83_exn (prefix ^ string_of_int i ^ ".dat"))
+  if count = 0 then [||]
+  else begin
+    ignore (to_83_exn (prefix ^ string_of_int (count - 1) ^ ".dat"));
+    let up = String.uppercase_ascii prefix in
+    let plen = String.length up in
+    Array.init count (fun i ->
+        let b = Bytes.make 11 ' ' in
+        let digits = string_of_int i in
+        Bytes.blit_string up 0 b 0 plen;
+        Bytes.blit_string digits 0 b plen (String.length digits);
+        Bytes.blit_string "DAT" 0 b 8 3;
+        Bytes.unsafe_to_string b)
+  end
 
 (* What each byte may be in an encoded name: 'c' a character {!to_83}
    keeps (valid and not lowercase), ' ' padding, 'x' neither. A table,
-   because {!is_83} runs on every name of every directory populated. *)
+   because {!is_83} runs on every name of every listing built, and a
+   round trip through {!to_83} would allocate several strings a name. *)
 let byte_class =
   String.init 256 (fun i ->
       let c = Char.chr i in

@@ -11,8 +11,12 @@ val to_83_exn : string -> string
 val numbered : prefix:string -> count:int -> string array
 (** The encoded names of [<prefix>0.dat] ... [<prefix>(count-1).dat], the
     benchmark's directory contents, built once so every directory can be
-    populated from the same array.
-    @raise Invalid_argument when one of them is not a valid 8.3 name. *)
+    populated from the same {!Fat.listing}. Equal to
+    [Array.init count (fun i -> to_83_exn (prefix ^ string_of_int i ^ ".dat"))],
+    but only the longest name goes through {!to_83}: the others are
+    written directly.
+    @raise Invalid_argument when one of them is not a valid 8.3 name, or
+    when [count] is negative. *)
 
 val is_83 : string -> bool
 (** Whether a string is exactly what {!to_83} produces for some name: 11

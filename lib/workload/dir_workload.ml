@@ -74,13 +74,19 @@ let build ct spec =
     | Error e -> failwith ("Dir_workload.build: mkdir: " ^ e)
   in
   let dirs_ = Array.init spec.dirs mkdir in
-  (* Every directory holds the same names: encode them once. *)
+  (* Every directory holds the same names: check and encode them once,
+     then copy the one listing into each directory. *)
   let file_names83 =
     Fat_name.numbered ~prefix:"f" ~count:spec.entries_per_dir
   in
+  let listing =
+    match Fat.listing_of_names83 file_names83 with
+    | Ok l -> l
+    | Error e -> failwith ("Dir_workload.build: " ^ e)
+  in
   Array.iteri
     (fun i d ->
-      match Fat.populate fs_ d file_names83 with
+      match Fat.populate fs_ d listing with
       | Ok () -> ()
       | Error e -> failwith (Printf.sprintf "populate d%d: %s" i e))
     dirs_;

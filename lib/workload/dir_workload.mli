@@ -40,12 +40,15 @@ val build : Coretime.t -> spec -> t
 (** Format and populate the volume, register every directory as a CoreTime
     object (identified by its first cluster's address, sized by its
     cluster chain). Host-side: it costs no simulated time, but it does
-    cost host time, linear in [dirs * entries_per_dir]. The file names
-    are encoded once and every directory is populated from that array;
-    a 16 MB volume (512 directories of 1000 entries) builds in about
-    50 ms on a 2-core Xeon VM (OCaml 5.1.1), most of it checking and
-    writing the 512,000 directory slots, the rest formatting (allocating
-    and zeroing) the image and creating the directories. *)
+    cost host time: linear in [dirs * entries_per_dir], plus one scan of
+    the root directory per directory created. The file names
+    are checked and encoded once into one {!O2_fs.Fat.listing}, and each
+    directory is filled by copying it, one blit per 4 KB cluster. A 16 MB
+    volume (512 directories of 1000 entries) builds in about 15-20 ms on
+    a 2-core Xeon VM (OCaml 5.1.1). The largest and most variable part is
+    formatting: the first touch of the fresh 19 MB image (page faults
+    while it is allocated and zeroed). Creating the 512 directories costs
+    about 4 ms and copying the listings about 3 ms. *)
 
 val fs : t -> O2_fs.Fat.t
 val spec : t -> spec

@@ -58,6 +58,59 @@ let prop_valid_names_roundtrip =
       | Ok enc ->
           String.length enc = 11 && Fat_name.is_83 enc && Fat_name.of_83 enc = n)
 
+(* [numbered] must produce exactly what encoding each name with [to_83]
+   does, and fail exactly when that does. *)
+let numbered_outcome f =
+  match f () with names -> Ok names | exception Invalid_argument _ -> Error ()
+
+let numbered_ref ~prefix ~count =
+  Array.init count (fun i ->
+      Fat_name.to_83_exn (prefix ^ string_of_int i ^ ".dat"))
+
+let numbered_agrees ~prefix ~count =
+  numbered_outcome (fun () -> Fat_name.numbered ~prefix ~count)
+  = numbered_outcome (fun () -> numbered_ref ~prefix ~count)
+
+let test_numbered_boundaries () =
+  List.iter
+    (fun (prefix, count) ->
+      Alcotest.(check bool) (Printf.sprintf "%S x %d" prefix count) true
+        (numbered_agrees ~prefix ~count))
+    [ ("f", 0); ("f", 1); ("f", 10); ("f", 100); ("f", 1000); ("Ab_", 11);
+      ("abcdef", 100); ("abcdefg", 10); ("", 1000) ];
+  Alcotest.(check int) "count 0 is empty" 0
+    (Array.length (Fat_name.numbered ~prefix:"f" ~count:0));
+  (* "abcdefg10.dat" has a 9-character base *)
+  Alcotest.check_raises "largest index overflows the base"
+    (Invalid_argument "Fat_name: base part must be 1..8 chars: \"abcdefg10.dat\"")
+    (fun () -> ignore (Fat_name.numbered ~prefix:"abcdefg" ~count:11));
+  Alcotest.(check bool) "overflow raises like to_83 per name" true
+    (numbered_outcome (fun () -> Fat_name.numbered ~prefix:"abcdef" ~count:101)
+    = Error ())
+
+let prop_numbered_matches_to_83 =
+  let gen =
+    QCheck2.Gen.(
+      let prefix_char =
+        frequency
+          [
+            (4, char_range 'a' 'z');
+            (1, char_range 'A' 'Z');
+            (1, char_range '0' '9');
+            (1, oneofl [ '_'; '-'; '~'; '!'; '$' ]);
+          ]
+      in
+      pair
+        (string_size ~gen:prefix_char (int_bound 7))
+        (oneof
+           [
+             int_bound 1200;
+             oneofl [ 0; 1; 9; 10; 11; 99; 100; 101; 999; 1000; 1001 ];
+           ]))
+  in
+  QCheck2.Test.make ~name:"numbered = to_83 of each name" ~count:200 gen
+    (fun (prefix, count) -> numbered_agrees ~prefix ~count)
+
 (* ---------- entries ---------- *)
 
 let test_entry_roundtrip () =
@@ -178,56 +231,149 @@ let fat () =
   let m = Memsys.create ~line_bytes:64 () in
   (m, Fat.format m ~label:"t" ~cluster_bytes:512 ~clusters:256 ())
 
-(* Populating from encoded names writes exactly the bytes that adding the
-   same files one at a time does, including when the append starts
-   mid-cluster in an already populated directory. *)
-let test_append_bulk_matches_add () =
-  let _, fs1 = fat () and _, fs2 = fat () in
-  let d1 = Result.get_ok (Fat.mkdir fs1 "d") in
-  let d2 = Result.get_ok (Fat.mkdir fs2 "d") in
-  let names = Fat_name.numbered ~prefix:"f" ~count:40 in
-  Array.iter
-    (fun n ->
-      Result.get_ok (Fat.add_file fs1 d1 ~name:(Fat_name.of_83 n) ~size:0))
-    names;
-  Result.get_ok (Fat.populate fs2 d2 (Array.sub names 0 25));
-  Result.get_ok (Fat.populate fs2 d2 (Array.sub names 25 15));
-  Alcotest.(check int) "three clusters" 3 (List.length (Fat.dir_clusters fs2 d2));
-  Alcotest.(check bool) "same listing" true
-    (Fat.readdir fs1 d1 = Fat.readdir fs2 d2);
-  Alcotest.(check bool) "same image bytes" true
+(* [add] finds the duplicate and the free slot in one walk: a new entry
+   takes the first deleted slot, a duplicate after a deleted slot is still
+   rejected, and a full chain with a deleted slot reuses it rather than
+   growing. The digests were computed with the three-walk [add]
+   (duplicate scan, chain list, free-slot rescan) it replaced. *)
+let test_dir_add_reuses_deleted_slots () =
+  let _, fs = fat () in
+  let d = Result.get_ok (Fat.mkdir fs "d") in
+  let img = Fat.image fs in
+  let add n = Fat.add_file fs d ~name:n ~size:0 in
+  let digest () = Digest.to_hex (Digest.bytes (Fat_image.buf img)) in
+  let name_at i =
+    let per = Fat_dir.entries_per_cluster img in
+    let cluster = List.nth (Fat.dir_clusters fs d) (i / per) in
+    Bytes.sub_string (Fat_image.buf img)
+      (Fat_image.cluster_off img cluster + (i mod per * Fat_types.entry_bytes))
+      11
+  in
+  for i = 0 to 39 do
+    Result.get_ok (add (Printf.sprintf "k%d.dat" i))
+  done;
+  Alcotest.(check bool) "remove k5" true (Fat.remove fs d "k5.dat");
+  Alcotest.(check bool) "remove k20" true (Fat.remove fs d "k20.dat");
+  let before = digest () in
+  Alcotest.(check bool) "duplicate after deleted slots rejected" true
+    (Result.is_error (add "k30.dat"));
+  Alcotest.(check string) "rejected add writes nothing" before (digest ());
+  List.iter (fun n -> Result.get_ok (add n)) [ "new0.dat"; "new1.dat"; "new2.dat" ];
+  Alcotest.(check (list string)) "first deleted slots, then the end marker"
+    (List.map Fat_name.to_83_exn [ "new0.dat"; "new1.dat"; "new2.dat" ])
+    [ name_at 5; name_at 20; name_at 40 ];
+  Alcotest.(check string) "image as before" "bc896e2231be744999a8cbc7dcae16f1"
+    (digest ());
+  for i = 40 to 46 do
+    Result.get_ok (add (Printf.sprintf "k%d.dat" i))
+  done;
+  Alcotest.(check bool) "remove k10" true (Fat.remove fs d "k10.dat");
+  Alcotest.(check bool) "duplicate in the last slot rejected" true
+    (Result.is_error (add "k46.dat"));
+  Result.get_ok (add "new3.dat");
+  Alcotest.(check string) "full chain: deleted slot reused"
+    (Fat_name.to_83_exn "new3.dat") (name_at 10);
+  Alcotest.(check int) "no cluster added" 3 (List.length (Fat.dir_clusters fs d));
+  Result.get_ok (add "new4.dat");
+  Alcotest.(check int) "then the chain grows" 4
+    (List.length (Fat.dir_clusters fs d));
+  Alcotest.(check string) "final image as before"
+    "7261c93e457b4ed8652ba84530471d21" (digest ())
+
+
+
+let listing ~prefix ~count =
+  Result.get_ok (Fat.listing_of_names83 (Fat_name.numbered ~prefix ~count))
+
+let same_image what fs1 fs2 =
+  Alcotest.(check bool) (what ^ ": same image bytes") true
     (Bytes.equal (Fat_image.buf (Fat.image fs1)) (Fat_image.buf (Fat.image fs2)))
+
+(* Populating from a listing writes exactly the bytes that adding the same
+   files one at a time does: when the append starts mid-cluster in an
+   already populated directory, when it ends exactly on a cluster
+   boundary, and when its fresh clusters were freed with stale entries
+   still in them (512-byte clusters: 16 slots each). *)
+let test_append_bulk_matches_add () =
+  let against_adds what ~count chunks =
+    let _, fs1 = fat () and _, fs2 = fat () in
+    let d1 = Result.get_ok (Fat.mkdir fs1 "d") in
+    let d2 = Result.get_ok (Fat.mkdir fs2 "d") in
+    for i = 0 to count - 1 do
+      Result.get_ok (Fat.add_file fs1 d1 ~name:(Printf.sprintf "f%d.dat" i) ~size:0)
+    done;
+    let names = Fat_name.numbered ~prefix:"f" ~count in
+    ignore
+      (List.fold_left
+         (fun start n ->
+           let chunk = Array.sub names start n in
+           Result.get_ok
+             (Fat.populate fs2 d2 (Result.get_ok (Fat.listing_of_names83 chunk)));
+           start + n)
+         0 chunks);
+    Alcotest.(check bool) (what ^ ": same listing") true
+      (Fat.readdir fs1 d1 = Fat.readdir fs2 d2);
+    same_image what fs1 fs2;
+    List.length (Fat.dir_clusters fs2 d2)
+  in
+  Alcotest.(check int) "mid-cluster start: three clusters" 3
+    (against_adds "mid-cluster start" ~count:40 [ 25; 15 ]);
+  Alcotest.(check int) "ends on a boundary: two clusters" 2
+    (against_adds "ends on a boundary" ~count:32 [ 10; 22 ]);
+  (* Fill two clusters with "g" entries, truncate the directory back to its
+     emptied head cluster, leaving the second cluster's stale entries in
+     place, then populate 20 names: the reused cluster's 12 unused slots
+     must read as zero, as on a fresh volume. *)
+  let _, stale = fat () and _, fresh = fat () in
+  let d = Result.get_ok (Fat.mkdir stale "d") in
+  Result.get_ok (Fat.populate stale d (listing ~prefix:"g" ~count:32));
+  let img = Fat.image stale in
+  let second = List.nth (Fat.dir_clusters stale d) 1 in
+  Fat_image.free_chain img second;
+  Fat_image.fat_set img d.Fat.head Fat_types.fat_eoc;
+  Bytes.fill (Fat_image.buf img)
+    (Fat_image.cluster_off img d.Fat.head)
+    (Fat_image.cluster_bytes img) '\x00';
+  Result.get_ok (Fat.populate stale d (listing ~prefix:"f" ~count:20));
+  Alcotest.(check (list int)) "stale cluster reused" [ d.Fat.head; second ]
+    (Fat.dir_clusters stale d);
+  let d' = Result.get_ok (Fat.mkdir fresh "d") in
+  Result.get_ok (Fat.populate fresh d' (listing ~prefix:"f" ~count:20));
+  Alcotest.(check int) "stale: 20 entries" 20 (List.length (Fat.readdir stale d));
+  same_image "stale clusters" stale fresh
+
+(* A listing checks its names once, when it is built: every name must be
+   exactly what [to_83] produces. *)
+let test_listing_rejects_bad_names () =
+  let good = Fat_name.numbered ~prefix:"g" ~count:3 in
+  Alcotest.(check bool) "valid listing" true
+    (Result.is_ok (Fat.listing_of_names83 good));
+  List.iter
+    (fun bad ->
+      match Fat.listing_of_names83 [| good.(0); bad; good.(1) |] with
+      | Ok _ -> Alcotest.failf "%S accepted" bad
+      | Error e ->
+          Alcotest.(check string) (Printf.sprintf "%S named" bad)
+            (Printf.sprintf "not an encoded 8.3 name: %S" bad) e)
+    [ "G0.DAT"; "g1      DAT"; "        DAT"; "G 2     DAT"; "G:3     DAT" ]
 
 let test_populate_all_or_nothing () =
   let m = Memsys.create ~line_bytes:64 () in
   (* root + one directory leave 6 free clusters of 16 slots each *)
   let fs = Fat.format m ~label:"t" ~cluster_bytes:512 ~clusters:8 () in
   let d = Result.get_ok (Fat.mkdir fs "d") in
-  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:10));
+  Result.get_ok (Fat.populate fs d (listing ~prefix:"f" ~count:10));
   let img = Fat.image fs in
   let before = Bytes.copy (Fat_image.buf img) in
-  let unchanged what =
-    Alcotest.(check int) (what ^ ": count unchanged") 10
-      (Fat_dir.count img ~head:d.Fat.head);
-    Alcotest.(check int) (what ^ ": free clusters unchanged") 6
-      (Fat_image.free_clusters img);
-    Alcotest.(check bool) (what ^ ": image unchanged") true
-      (Bytes.equal before (Fat_image.buf img));
-    Alcotest.(check bool) (what ^ ": fsck clean") true
-      (Fat_check.ok (Fat_check.check fs))
-  in
   (* 6 slots left in the head cluster + 6 * 16 = 102 names fit; 103 do not *)
-  let more = Fat_name.numbered ~prefix:"g" ~count:103 in
   Alcotest.(check bool) "over capacity is an error" true
-    (Result.is_error (Fat.populate fs d more));
-  unchanged "over capacity";
-  List.iter
-    (fun bad ->
-      Alcotest.(check bool) (Printf.sprintf "%S rejected" bad) true
-        (Result.is_error (Fat.populate fs d [| more.(0); bad |]));
-      unchanged (Printf.sprintf "name %S" bad))
-    [ "G0.DAT"; "g1      DAT"; "        DAT"; "G 2     DAT"; "G:3     DAT" ];
-  Result.get_ok (Fat.populate fs d (Array.sub more 0 102));
+    (Result.is_error (Fat.populate fs d (listing ~prefix:"g" ~count:103)));
+  Alcotest.(check int) "count unchanged" 10 (Fat_dir.count img ~head:d.Fat.head);
+  Alcotest.(check int) "free clusters unchanged" 6 (Fat_image.free_clusters img);
+  Alcotest.(check bool) "image unchanged" true
+    (Bytes.equal before (Fat_image.buf img));
+  Alcotest.(check bool) "fsck clean" true (Fat_check.ok (Fat_check.check fs));
+  Result.get_ok (Fat.populate fs d (listing ~prefix:"g" ~count:102));
   Alcotest.(check int) "exactly full" 0 (Fat_image.free_clusters img);
   Alcotest.(check int) "all entries" 112 (Fat_dir.count img ~head:d.Fat.head);
   Alcotest.(check bool) "fsck clean when full" true
@@ -237,7 +383,7 @@ let test_fat_mkdir_and_host_lookup () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "www") in
   Result.get_ok
-    (Fat.populate fs d (Fat_name.numbered ~prefix:"page" ~count:30));
+    (Fat.populate fs d (listing ~prefix:"page" ~count:30));
   Alcotest.(check bool) "host lookup hit" true (Fat.lookup_host fs d "page7.dat" <> None);
   Alcotest.(check bool) "host lookup miss" true (Fat.lookup_host fs d "nope.dat" = None);
   Alcotest.(check int) "readdir count" 30 (List.length (Fat.readdir fs d));
@@ -249,7 +395,7 @@ let test_fat_sim_lookup_agrees_with_host () =
   let machine = Machine.create Config.amd16 in
   let fs = Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512 ~clusters:256 () in
   let d = Result.get_ok (Fat.mkdir fs "docs") in
-  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:100));
+  Result.get_ok (Fat.populate fs d (listing ~prefix:"f" ~count:100));
   let engine = O2_runtime.Engine.create machine in
   let sim_result = ref None and sim_miss = ref (Some Fat_types.{ name = ""; attr = 0; first_cluster = 0; size = 0 }) in
   ignore
@@ -267,7 +413,7 @@ let test_fat_lookup_locked_serializes () =
   let machine = Machine.create Config.amd16 in
   let fs = Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512 ~clusters:512 () in
   let d = Result.get_ok (Fat.mkdir fs "shared") in
-  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:200));
+  Result.get_ok (Fat.populate fs d (listing ~prefix:"f" ~count:200));
   let engine = O2_runtime.Engine.create machine in
   let hits = ref 0 in
   for core = 0 to 3 do
@@ -286,7 +432,7 @@ let test_fat_lookup_locked_serializes () =
 let test_fsck_clean_and_detects_corruption () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "a") in
-  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:50));
+  Result.get_ok (Fat.populate fs d (listing ~prefix:"f" ~count:50));
   let r = Fat_check.check fs in
   Alcotest.(check bool) "clean volume" true (Fat_check.ok r);
   Alcotest.(check int) "two directories (root + a)" 2 r.Fat_check.directories;
@@ -307,7 +453,7 @@ let test_fat_rejects_invalid_names () =
 let test_dir_object_identity () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "obj") in
-  Result.get_ok (Fat.populate fs d (Fat_name.numbered ~prefix:"f" ~count:40));
+  Result.get_ok (Fat.populate fs d (listing ~prefix:"f" ~count:40));
   Alcotest.(check int) "base addr = first cluster addr"
     (Fat_image.cluster_addr (Fat.image fs) d.Fat.head)
     (Fat.dir_base_addr fs d);
@@ -320,7 +466,7 @@ let test_nested_dirs_and_paths () =
   let www = Result.get_ok (Fat.mkdir fs "www") in
   let static = Result.get_ok (Fat.mkdir_in fs www "static") in
   Result.get_ok
-    (Fat.populate fs static (Fat_name.numbered ~prefix:"img" ~count:10));
+    (Fat.populate fs static (listing ~prefix:"img" ~count:10));
   Alcotest.(check (option string)) "registered under its path" (Some "/www/static")
     (Option.map (fun d -> d.Fat.dname) (Fat.find_dir fs "/www/static"));
   Alcotest.(check bool) "parent of static is www" true
@@ -358,7 +504,7 @@ let test_resolve_sim_agrees () =
       ~clusters:256 ()
   in
   let sub = Result.get_ok (Fat.mkdir_path fs "/srv/data") in
-  Result.get_ok (Fat.populate fs sub (Fat_name.numbered ~prefix:"f" ~count:20));
+  Result.get_ok (Fat.populate fs sub (listing ~prefix:"f" ~count:20));
   let engine = O2_runtime.Engine.create machine in
   let hit = ref None and miss = ref (Some (`Dir (Fat.root fs))) in
   ignore
@@ -429,6 +575,8 @@ let suite =
     Alcotest.test_case "8.3 round-trips" `Quick test_name_roundtrip;
     Alcotest.test_case "name comparison is case-insensitive" `Quick test_name_equal_case_insensitive;
     QCheck_alcotest.to_alcotest prop_valid_names_roundtrip;
+    Alcotest.test_case "numbered at digit boundaries" `Quick test_numbered_boundaries;
+    QCheck_alcotest.to_alcotest prop_numbered_matches_to_83;
     Alcotest.test_case "entry encode/decode" `Quick test_entry_roundtrip;
     Alcotest.test_case "image geometry" `Quick test_image_geometry;
     Alcotest.test_case "chain alloc/follow/free" `Quick test_chain_alloc_follow_free;
@@ -437,7 +585,9 @@ let suite =
     Alcotest.test_case "chain cycles detected" `Quick test_chain_cycle_detected;
     Alcotest.test_case "dir add/find/remove/reuse" `Quick test_dir_add_find_remove;
     Alcotest.test_case "dir grows across clusters" `Quick test_dir_grows_across_clusters;
+    Alcotest.test_case "dir add reuses the first deleted slot" `Quick test_dir_add_reuses_deleted_slots;
     Alcotest.test_case "append_bulk = repeated add" `Quick test_append_bulk_matches_add;
+    Alcotest.test_case "listing rejects bad names" `Quick test_listing_rejects_bad_names;
     Alcotest.test_case "populate is all-or-nothing" `Quick test_populate_all_or_nothing;
     Alcotest.test_case "mkdir + host lookups" `Quick test_fat_mkdir_and_host_lookup;
     Alcotest.test_case "simulated lookup agrees with host" `Quick test_fat_sim_lookup_agrees_with_host;

@@ -82,7 +82,9 @@ let test_fat_scan_miss () =
     | Error e -> Alcotest.failf "mkdir: %s" e
   in
   (match
-     O2_fs.Fat.populate fs dir (O2_fs.Fat_name.numbered ~prefix:"f" ~count:100)
+     O2_fs.Fat.listing_of_names83 (O2_fs.Fat_name.numbered ~prefix:"f" ~count:100)
+     |> Result.get_ok
+     |> O2_fs.Fat.populate fs dir
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "populate: %s" e);
