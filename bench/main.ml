@@ -371,28 +371,6 @@ let test_iter_assigned =
          Coretime.Object_table.iter_assigned table ~core:3 (fun o ->
              acc := !acc + o.Coretime.Object_table.size)))
 
-(* The native backend's work-stealing deque: owner push+pop kept 1-deep
-   (the common dispatch rhythm) and the thief's CAS path. Both must sit
-   within a few ns of the event queue above and allocate nothing — the
-   dummy-sentinel protocol exists so the steal loop never boxes. *)
-let test_deque_push_pop =
-  let q = O2_native.Deque.create ~dummy:(-1) () in
-  let i = ref 0 in
-  Test.make ~name:"deque/push+pop (owner)"
-    (Staged.stage (fun () ->
-         incr i;
-         O2_native.Deque.push q !i;
-         ignore (O2_native.Deque.pop q)))
-
-let test_deque_steal =
-  let q = O2_native.Deque.create ~dummy:(-1) () in
-  let i = ref 0 in
-  Test.make ~name:"deque/push+steal (thief CAS)"
-    (Staged.stage (fun () ->
-         incr i;
-         O2_native.Deque.push q !i;
-         ignore (O2_native.Deque.steal q)))
-
 (* Native-vs-simulated price of one whole kv cell: the same
    Backend_kv program — 4 clients x 128 ops over 16 buckets — built,
    run to quiescence and torn down per run, on the native backend (one
@@ -485,7 +463,7 @@ let test_kv_cell_native_traced =
            (fun () -> Native_kv_cell.run_cell b)))
 
 (* Full o2staticcheck run over the repo's build tree: .cmt discovery,
-   parsing, and all four typedtree passes. Prices the static stage that
+   parsing, and every typedtree pass. Prices the static stage that
    @lint-source adds to the gate; run from the repo root after a build. *)
 let test_staticcheck =
   Test.make ~name:"staticcheck/full tree (load + 4 passes)"
@@ -518,8 +496,6 @@ let bechamel_tests =
     (`Mid, test_mkdir_512);
     (`Slow, test_build_16mb);
     (`Fast, test_event_queue);
-    (`Fast, test_deque_push_pop);
-    (`Fast, test_deque_steal);
     (`Slow, test_kv_cell_native);
     (`Slow, test_kv_cell_sim);
     (`Fast, test_tel_metrics_op);
@@ -634,21 +610,10 @@ let run_fig4_json ~jobs path =
   Printf.printf "wrote %s\n" path;
   if identical then 0 else 1
 
-(* ------------------------------------------------------------------ *)
-(* Native backend wall-clock: oracle verdicts + ops/sec ladder as JSON  *)
-
-let run_native_json ~quick path =
-  let ok =
-    O2_experiments.Native_exp.run_cli ~quick ~domains:2 ~json:(Some path)
-      ~metrics:false ~trace:None ~trace_sample:1 Format.std_formatter
-  in
-  Format.pp_print_flush Format.std_formatter ();
-  if ok then 0 else 1
-
 let usage () =
   prerr_endline
-    "usage: bench [--quick] [--jobs N] [--bechamel | --fig4-json [FILE] | \
-     --native-json [FILE]] [EXPERIMENT-ID...]";
+    "usage: bench [--quick] [--jobs N] [--bechamel | --fig4-json [FILE]] \
+     [EXPERIMENT-ID...]";
   2
 
 let () =
@@ -656,7 +621,6 @@ let () =
   let quick = ref false in
   let bech = ref false in
   let fig4_json = ref None in
-  let native_json = ref None in
   let jobs = ref (O2_runtime.Domain_pool.default_jobs ()) in
   let ids = ref [] in
   let bad = ref false in
@@ -674,13 +638,6 @@ let () =
         parse rest
     | "--fig4-json" :: rest ->
         fig4_json := Some "BENCH_fig4.json";
-        parse rest
-    | "--native-json" :: path :: rest
-      when String.length path > 0 && path.[0] <> '-' ->
-        native_json := Some path;
-        parse rest
-    | "--native-json" :: rest ->
-        native_json := Some "BENCH_native.json";
         parse rest
     | ("--jobs" | "-j") :: n :: rest -> (
         match int_of_string_opt n with
@@ -702,10 +659,9 @@ let () =
   exit
     (if !bech then run_bechamel ()
      else
-       match (!fig4_json, !native_json) with
-       | Some path, _ ->
+       match !fig4_json with
+       | Some path ->
            (* at least 2 so the parallel leg exercises real domains even on
               a single-core machine *)
            run_fig4_json ~jobs:(max 2 !jobs) path
-       | None, Some path -> run_native_json ~quick:!quick path
-       | None, None -> experiments ~quick:!quick ~jobs:!jobs !ids)
+       | None -> experiments ~quick:!quick ~jobs:!jobs !ids)

@@ -2,10 +2,10 @@
 
    Three stages, any diagnostic fails the run (exit 1):
 
-   1. source lint over lib/ and examples/ (surface idiom, missing .mli)
-      plus the o2staticcheck typedtree passes (allocation manifest,
-      listener effect-freedom, lock discipline, raw primitives) over the
-      build's own .cmt files;
+   1. the o2staticcheck typedtree passes over the build's own .cmt files
+      (allocation manifest, listener effect-freedom, lock discipline, raw
+      primitives, and the ignored-result / missing-mli lint rules over
+      lib/ and examples/);
    2. the dynamic checkers (lockset race detector, lock-order graph, O2
       invariants) over a quickstart-shaped workload: annotated operations
       on shared tables plus a lock-protected shared counter;
@@ -145,14 +145,7 @@ let run_lint root skip_source skip_dynamic =
   end;
   let issues = ref 0 in
   if not skip_source then begin
-    banner "source lint (lib/, examples/)";
-    let diags = O2_analysis.Lint.scan_tree ~root in
-    List.iter
-      (fun d -> Format.printf "%a@." O2_analysis.Diagnostic.pp d)
-      diags;
-    if diags = [] then print_endline "source tree: clean";
-    issues := !issues + List.length diags;
-    banner "static passes (typedtree: alloc / effect / lock / raw)";
+    banner "static passes (typedtree: alloc / effect / lock / raw / lint)";
     (match O2_staticcheck.Staticcheck.run ~root () with
     | Error e ->
         (* Tolerated: a source-only checkout has no cmts. The dedicated
@@ -185,7 +178,7 @@ let root_arg =
   Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc)
 
 let skip_source_arg =
-  let doc = "Skip the source lint stage." in
+  let doc = "Skip the static (typedtree) stage." in
   Arg.(value & flag & info [ "skip-source" ] ~doc)
 
 let skip_dynamic_arg =
@@ -194,7 +187,8 @@ let skip_dynamic_arg =
 
 let cmd =
   let doc =
-    "o2check: race / invariant analysis over the O2 runtime, plus source lint"
+    "o2check: race / invariant analysis over the O2 runtime, plus the \
+     static passes"
   in
   Cmd.v
     (Cmd.info "o2lint" ~version:"1.0.0" ~doc)

@@ -105,10 +105,10 @@ let trace_arg =
 
 let trace_sample_arg =
   let doc =
-    "Keep 1-in-$(docv) memory-access events in the trace ring (1 = all). \
-     Operation spans, migrations, and monitor periods are always kept. \
-     With $(b,--backend native) the sampling applies to op spans instead; \
-     steals, parks, inbox batches, and rebalances are always kept."
+    "Keep 1-in-$(docv) op spans in the trace ring (1 = all), on either \
+     backend. Latency histograms and counters still see every op; moves \
+     outside ops, monitor periods and decisions, steals, parks and inbox \
+     batches are always kept."
   in
   Arg.(value & opt int 1 & info [ "trace-sample" ] ~docv:"N" ~doc)
 
@@ -179,7 +179,8 @@ let run_cmd =
           exit 1
         end;
         (* Per-flag validation: --metrics/--trace/--trace-sample drive
-           the native flight recorder; the flags that read simulated
+           the native flight recorder (Harness.validate_obs checks their
+           values for both backends); the flags that read simulated
            state get a precise refusal each. *)
         if occupancy then begin
           prerr_endline
@@ -200,12 +201,6 @@ let run_cmd =
             "o2sim: --explain records the simulated scheduler's decision \
              provenance and only applies to --backend sim (the native \
              monitor's rebalances appear in --trace instead)";
-          exit 1
-        end;
-        if trace_sample < 1 then begin
-          prerr_endline
-            "o2sim: --trace-sample must be >= 1 (1 keeps every op span, N \
-             keeps 1-in-N; steals/parks/rebalances are always kept)";
           exit 1
         end);
     let obs =

@@ -1,8 +1,9 @@
 (* o2staticcheck: typedtree passes over the repo's own .cmt files.
 
    Reads the trees `dune build @check` leaves under _build, runs the
-   allocation / effect-freedom / lock-discipline / raw-primitive passes,
-   and prints findings as text or JSON. Exit 1 on findings, 2 when no
+   allocation / effect-freedom / lock-discipline / raw-primitive passes
+   and the ignored-result / missing-mli lint rules, and prints findings
+   as text or JSON. Exit 1 on findings, 2 when no
    build tree is found — a CI gate must not silently pass because the
    cmts were never built. *)
 
@@ -56,7 +57,7 @@ let exit_zero_arg =
 
 let cmd =
   let doc =
-    "typedtree-based allocation, effect, and lock-discipline analysis"
+    "typedtree-based allocation, effect, lock-discipline and lint analysis"
   in
   Cmd.v
     (Cmd.info "o2staticcheck" ~version:"1.0.0" ~doc)

@@ -19,11 +19,7 @@ let run ?(record = false) ~label ~policy ~kb () =
   let machine = Machine.create Config.amd16 in
   let engine = O2_runtime.Engine.create machine in
   let recorder =
-    (* Mem events are sampled out (sample_mem:0) so the flight ring keeps
-       operation spans, migrations and monitor periods instead of being
-       flooded by per-access records. *)
-    if record then Some (O2_obs.Recorder.attach ~sample_mem:0 engine)
-    else None
+    if record then Some (O2_obs.Recorder.attach engine) else None
   in
   let ct = Coretime.create ~policy engine () in
   let spec = Dir_workload.spec_for_data_kb ~kb () in
@@ -46,14 +42,10 @@ let run ?(record = false) ~label ~policy ~kb () =
   | Some r ->
       Printf.printf "\n-- o2top (%s) --\n%s%!" label
         (O2_obs.O2top.render (O2_obs.Recorder.metrics r));
-      O2_obs.Trace_export.write_file r ~path:trace_path;
-      Printf.printf
-        "trace: %d spans, %d events retained, %d dropped -> %s (open in \
-         https://ui.perfetto.dev)\n\n\
-         %!"
-        (O2_obs.Recorder.span_count r)
-        (O2_obs.Recorder.events_retained r)
-        (O2_obs.Recorder.events_dropped r)
+      O2_obs.Trace_export.write_file (O2_obs.Trace_export.of_recorder r)
+        ~path:trace_path;
+      Printf.printf "trace: %s -> %s (open in https://ui.perfetto.dev)\n\n%!"
+        (O2_obs.Native_tel.summary (O2_obs.Recorder.capture r))
         trace_path);
   resolutions_per_sec
 

@@ -212,7 +212,7 @@ let write_trace ~quick ~oscillation ~sample ~occupancy_interval ~path ppf =
   ignore
     (Harness.run
        ~attach:(fun engine ->
-         recorder := Some (O2_obs.Recorder.attach ~sample_mem:sample engine);
+         recorder := Some (O2_obs.Recorder.attach ~sample engine);
          occ :=
            Some
              (O2_obs.Occupancy.attach ~interval:occupancy_interval
@@ -221,14 +221,14 @@ let write_trace ~quick ~oscillation ~sample ~occupancy_interval ~path ppf =
   match !recorder with
   | None -> ()
   | Some r ->
-      O2_obs.Trace_export.write_file ?occupancy:!occ r ~path;
+      O2_obs.Trace_export.write_file
+        (O2_obs.Trace_export.of_recorder ?occupancy:!occ r)
+        ~path;
       Format.fprintf ppf
-        "trace: one %d KB CoreTime cell written to %s (%d spans, %d events \
-         retained, %d dropped; occupancy counter tracks attached) — load in \
-         https://ui.perfetto.dev@."
-        kb path (O2_obs.Recorder.span_count r)
-        (O2_obs.Recorder.events_retained r)
-        (O2_obs.Recorder.events_dropped r)
+        "trace: one %d KB CoreTime cell written to %s (%s; occupancy counter \
+         tracks attached) — load in https://ui.perfetto.dev@."
+        kb path
+        (O2_obs.Native_tel.summary (O2_obs.Recorder.capture r))
 
 let figure ~title ~oscillation ?(quick = false) ?(jobs = 1)
     ?(obs = Harness.no_obs) ppf =

@@ -30,8 +30,8 @@ let validate_obs o =
   if o.trace_sample <= 0 then
     Error
       (Printf.sprintf
-         "--trace-sample must be >= 1 (got %d): 1 keeps every memory event, \
-          N keeps 1-in-N"
+         "--trace-sample must be >= 1 (got %d): 1 keeps every op span, N \
+          keeps 1-in-N op spans"
          o.trace_sample)
   else if o.occupancy_interval <= 0 then
     Error
@@ -113,14 +113,13 @@ let run ?attach s =
   let rb_snap_moves = rb.Coretime.Rebalancer.moves in
   let rb_snap_demotions = rb.Coretime.Rebalancer.demotions in
   (* Metrics cover only the measured window: subscribe after warmup.
-     Histogram/counter mode only — no event ring, no span storage — so the
-     per-cell memory cost is a few registry entries. The recorder observes
+     Histogram/counter mode only — no event ring — so the per-cell memory
+     cost is a few registry entries. The recorder observes
      without mutating simulator state, so points stay bit-identical. *)
   let recorder =
     if s.collect_metrics then
       Some
-        (O2_obs.Recorder.attach ~ring_capacity:0 ~span_capacity:0 ~sample_mem:0
-           engine)
+        (O2_obs.Recorder.attach ~ring_capacity:0 engine)
     else None
   in
   O2_runtime.Engine.run ~until:(s.warmup + s.measure) engine;

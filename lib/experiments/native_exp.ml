@@ -299,7 +299,7 @@ let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
            attached):@.@."
           domains;
         Format.pp_print_string ppf
-          (O2_obs.O2top.render ~units:"wall-clock ns"
+          (O2_obs.O2top.render ~units:"wall-clock ns" ~capture:tel
              (O2_obs.Native_tel.metrics tel));
         Format.fprintf ppf "@.-- per-domain breakdown --@.";
         Format.pp_print_string ppf (O2_obs.Native_tel.domain_table tel);
@@ -307,7 +307,8 @@ let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
       end;
       Option.iter
         (fun path ->
-          O2_obs.Native_trace.write_file tel ~path;
+          O2_obs.Trace_export.write_file (O2_obs.Trace_export.of_native tel)
+            ~path;
           Format.fprintf ppf
             "  wrote native Perfetto trace to %s (wall-clock ns, one track \
              per domain + coordinator)@."

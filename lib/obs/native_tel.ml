@@ -1,16 +1,16 @@
-(* Readers for the native backend's wall-clock flight recorder
-   (O2_runtime.Telemetry): the quiescent-side half of the design. Each
-   sink's ring is nondecreasing by construction (the writer clamps its
-   stamps), so the global order is a k-way cursor merge with no sort —
-   pick the smallest head timestamp, ties to the lower sink id, which
-   makes the merged order total and deterministic for a fixed capture.
+(* Readers for a flight-recorder capture (O2_runtime.Telemetry), written
+   by the native backend in wall-clock ns or by the simulator's Recorder
+   in virtual cycles: the quiescent-side half of the design. Each sink's
+   ring is nondecreasing by construction (the writer clamps its stamps),
+   so the global order is a k-way cursor merge with no sort — pick the
+   smallest head timestamp, ties to the lower sink id, which makes the
+   merged order total and deterministic for a fixed capture.
 
-   Span reconstruction replays the merged stream: Submit opens a
-   partial span keyed by its token, Ship_out / Ship_in / Start fill in
-   the handoff, End completes it. A span whose events were partly
-   dropped by the ring bound never sees its End (or sees End first) and
-   is counted in [incomplete_spans] instead of being emitted half-built
-   — drops are accounted, never papered over. *)
+   Span reconstruction joins the merged stream by token: Submit, Ship_out,
+   Ship_in, Start and End each fill their part of one span. A token whose
+   Submit, Start or End is missing (dropped by the ring bound, or the op
+   was still running) is counted once as incomplete instead of being
+   emitted half-built — drops are accounted, never papered over. *)
 
 open O2_runtime
 
@@ -65,74 +65,114 @@ let merged_events tel =
 type span = {
   token : int;
   obj : int;
+  tid : int;
   submit_sink : int;
   submit_ts : int;
-  ship_out_ts : int;  (* -1 when the op ran at home *)
+  ship_out_ts : int;  (* -1 when the op ran where it was submitted *)
   ship_in_ts : int;
   ship_dst : int;
   exec_sink : int;
+  remote : bool;
   start_ts : int;
   end_ts : int;
 }
 
+let unstarted ~token ~obj ~tid ~sink ~ts =
+  {
+    token;
+    obj;
+    tid;
+    submit_sink = sink;
+    submit_ts = ts;
+    ship_out_ts = -1;
+    ship_in_ts = -1;
+    ship_dst = -1;
+    exec_sink = -1;
+    remote = false;
+    start_ts = -1;
+    end_ts = -1;
+  }
+
+(* Join by token, then judge: each event fills its own fields whatever
+   order the merge put equal timestamps in, and a token is complete or
+   incomplete exactly once. *)
 let spans_of_events events =
-  let open_spans : (int, span) Hashtbl.t = Hashtbl.create 256 in
-  let done_ = ref [] in
-  let incomplete = ref 0 in
+  let by_token : (int, span) Hashtbl.t = Hashtbl.create 256 in
+  let ended = ref [] in
+  let update token f =
+    let s =
+      match Hashtbl.find_opt by_token token with
+      | Some s -> s
+      | None -> unstarted ~token ~obj:(-1) ~tid:(-1) ~sink:(-1) ~ts:(-1)
+    in
+    Hashtbl.replace by_token token (f s)
+  in
   Array.iter
     (fun e ->
-      match e.kind with
-      | Telemetry.Submit ->
-          (* A token reused after a dropped End would shadow; tokens are
-             unique per capture (sink id + sequence), so plain add. *)
-          Hashtbl.replace open_spans e.a
-            {
-              token = e.a;
-              obj = e.b;
-              submit_sink = e.sink;
-              submit_ts = e.ts;
-              ship_out_ts = -1;
-              ship_in_ts = -1;
-              ship_dst = -1;
-              exec_sink = -1;
-              start_ts = -1;
-              end_ts = -1;
-            }
-      | Telemetry.Ship_out -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s ->
-              Hashtbl.replace open_spans e.a
-                { s with ship_out_ts = e.ts; ship_dst = e.c }
-          | None -> incr incomplete)
-      | Telemetry.Ship_in -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s -> Hashtbl.replace open_spans e.a { s with ship_in_ts = e.ts }
-          | None -> incr incomplete)
-      | Telemetry.Start -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s ->
-              Hashtbl.replace open_spans e.a
-                { s with start_ts = e.ts; exec_sink = e.sink }
-          | None -> incr incomplete)
-      | Telemetry.End -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s when s.start_ts >= 0 ->
-              Hashtbl.remove open_spans e.a;
-              done_ := { s with end_ts = e.ts } :: !done_
-          | Some _ ->
-              Hashtbl.remove open_spans e.a;
-              incr incomplete
-          | None -> incr incomplete)
-      | _ -> ())
+      if e.a >= 0 then
+        match e.kind with
+        | Telemetry.Submit ->
+            update e.a (fun s ->
+                {
+                  s with
+                  obj = e.b;
+                  tid = e.c;
+                  submit_sink = e.sink;
+                  submit_ts = e.ts;
+                })
+        | Telemetry.Ship_out ->
+            update e.a (fun s ->
+                { s with ship_out_ts = e.ts; ship_dst = e.c })
+        | Telemetry.Ship_in ->
+            update e.a (fun s -> { s with ship_in_ts = e.ts })
+        | Telemetry.Start ->
+            update e.a (fun s ->
+                {
+                  s with
+                  start_ts = e.ts;
+                  exec_sink = e.sink;
+                  remote = e.c = 1;
+                })
+        | Telemetry.End ->
+            ended := e.a :: !ended;
+            update e.a (fun s -> { s with end_ts = e.ts })
+        | _ -> ())
     events;
-  (* Whatever is still open lost its End to the ring bound. *)
-  Hashtbl.iter (fun _ _ -> incr incomplete) open_spans;
-  (List.rev !done_, !incomplete)
+  let complete =
+    List.filter_map
+      (fun token ->
+        let s = Hashtbl.find by_token token in
+        if s.submit_ts >= 0 && s.start_ts >= 0 then Some s else None)
+      (List.rev !ended)
+  in
+  (complete, Hashtbl.length by_token - List.length complete)
 
-let spans tel = fst (spans_of_events (merged_events tel))
-let incomplete_spans tel = snd (spans_of_events (merged_events tel))
+let spans tel = spans_of_events (merged_events tel)
+
+let summary tel =
+  let complete, incomplete = spans tel in
+  let dropped = Telemetry.total_dropped tel in
+  Printf.sprintf "%d spans (%d incomplete), %d events retained, %d dropped"
+    (List.length complete) incomplete
+    (Telemetry.total_events tel - dropped)
+    dropped
+
+type op_class = Home_hit | Remote | Migrated
 
 let shipped s = s.ship_out_ts >= 0
+
+let classify s =
+  if shipped s then Migrated else if s.remote then Remote else Home_hit
+
+let class_name = function
+  | Home_hit -> "home-hit"
+  | Remote -> "remote"
+  | Migrated -> "migrated"
+
+let latency s = s.end_ts - s.submit_ts
+let queue s = (if shipped s then s.ship_out_ts else s.start_ts) - s.submit_ts
+let migrate s = if shipped s then s.start_ts - s.ship_out_ts else 0
+let exec s = s.end_ts - s.start_ts
 
 (* ------------------------------------------------------------------ *)
 (* Metrics import                                                      *)

@@ -54,7 +54,7 @@ let gauge_table gauges =
     gauges;
   O2_stats.Table.render t
 
-let render ?(units = "cycles") ?(gauges = true) ?recorder metrics =
+let render ?(units = "cycles") ?(gauges = true) ?capture metrics =
   let buf = Buffer.create 2048 in
   let section title body =
     if body <> "" then begin
@@ -73,20 +73,13 @@ let render ?(units = "cycles") ?(gauges = true) ?recorder metrics =
      match Metrics.gauges metrics with
      | [] -> ()
      | gs -> section "gauges (last monitor period)" (gauge_table gs));
-  (match recorder with
-  | None -> ()
-  | Some r ->
+  Option.iter
+    (fun capture ->
       section "recorder"
-        (Printf.sprintf
-           "events: %d captured, %d retained, %d dropped by the ring bound\n\
-            spans:  %d completed, %d retained, %d dropped by the bound\n"
-           (Recorder.events_total r)
-           (Recorder.events_retained r)
-           (Recorder.events_dropped r)
-           (Recorder.span_count r + Recorder.spans_dropped r)
-           (Recorder.span_count r)
-           (Recorder.spans_dropped r)));
+        (Printf.sprintf "capture: %s by the ring bound\n"
+           (Native_tel.summary capture)))
+    capture;
   Buffer.contents buf
 
-let print ?units ?gauges ?recorder metrics =
-  print_string (render ?units ?gauges ?recorder metrics)
+let print ?units ?gauges ?capture metrics =
+  print_string (render ?units ?gauges ?capture metrics)

@@ -7,12 +7,21 @@
     [units] labels the histogram section's header — ["cycles"] by
     default (simulator virtual time); the native backend passes
     ["wall-clock ns"] so a reader can never mistake one domain of time
-    for the other. With [?recorder], a footer accounts for the flight
-    recorder's ring bounds: events and spans captured, retained and
-    dropped. Output is deterministic: rows are sorted by metric name. *)
+    for the other. With [?capture] (either backend's flight-recorder
+    capture), a footer accounts for its ring bounds: spans complete and
+    incomplete, events retained and dropped ({!Native_tel.summary}).
+    Output is deterministic: rows are sorted by metric name. *)
 
 val render :
-  ?units:string -> ?gauges:bool -> ?recorder:Recorder.t -> Metrics.t -> string
+  ?units:string ->
+  ?gauges:bool ->
+  ?capture:O2_runtime.Telemetry.t ->
+  Metrics.t ->
+  string
 
 val print :
-  ?units:string -> ?gauges:bool -> ?recorder:Recorder.t -> Metrics.t -> unit
+  ?units:string ->
+  ?gauges:bool ->
+  ?capture:O2_runtime.Telemetry.t ->
+  Metrics.t ->
+  unit

@@ -1,77 +1,26 @@
 open O2_simcore
 open O2_runtime
 
-type span = {
-  tid : int;
-  addr : int;
-  home : int option;
-  request_core : int;
-  exec_core : int;
-  request_time : int;
-  start_time : int;
-  end_time : int;
-  queue : int;
-  migrate : int;
-  exec : int;
-  migrated : bool;
-}
-
-type op_class = Home_hit | Remote | Migrated
-
-let classify s =
-  if s.migrated then Migrated else if s.home <> None then Home_hit else Remote
-
-(* A ct_start that has been requested but not yet started; at most one per
-   thread (a nested ct_start can only be entered once the outer one has
-   started). *)
-type pending = {
-  p_addr : int;
-  p_core : int;
-  p_time : int;
-  mutable p_moved_at : int;  (* departure time of the op migration; -1 *)
-}
-
-type open_span = {
-  o_addr : int;
-  o_home : int option;
-  o_request_core : int;
-  o_request_time : int;
-  o_start_time : int;
-  o_queue : int;
-  o_migrate : int;
-  o_migrated : bool;
-}
-
 type t = {
-  ring : Probe.event Ring.t;
+  capture : Telemetry.t;
+  cores : Telemetry.sink array;
+  monitor : Telemetry.sink;
   metrics_ : Metrics.t;
   machine_ : Machine.t;
-  sample_mem : int;
-  span_capacity : int;
-  mutable mem_seen : int;
-  mutable spans_rev : span list;
-  mutable span_count : int;
-  mutable span_drops : int;
-  pending : (int, pending) Hashtbl.t;
-  open_ : (int, open_span list) Hashtbl.t;
+  ops : (int, Native_tel.span list) Hashtbl.t;
+      (* per-thread stack of open ops, innermost first; the top one is
+         still pending (requested, not started) while its start_ts < 0 *)
   mutable last_counters : Counters.t array;
   mutable last_snap_time : int;
 }
 
 let metrics t = t.metrics_
 let machine t = t.machine_
-let events t = Ring.to_list t.ring
-let events_retained t = Ring.length t.ring
-let events_total t = Ring.total t.ring
-let events_dropped t = Ring.dropped t.ring
-let spans t = List.rev t.spans_rev
-let span_count t = t.span_count
-let spans_dropped t = t.span_drops
+let capture t = t.capture
 
 let m_ops = "ops"
 let m_migrations = "migrations"
 let m_mem_events = "mem/events"
-let m_mem_sampled = "mem/sampled"
 let m_locks_acquired = "locks/acquired"
 let m_locks_handoffs = "locks/handoffs"
 let m_threads_spawned = "threads/spawned"
@@ -79,12 +28,6 @@ let m_threads_finished = "threads/finished"
 let m_rebalance_periods = "rebalance/periods"
 let m_rebalance_moves = "rebalance/moves"
 let m_rebalance_demotions = "rebalance/demotions"
-let m_decisions_promoted = "decisions/promoted"
-let m_decisions_replicated = "decisions/replicated"
-let m_decisions_moved = "decisions/moved"
-let m_decisions_demoted = "decisions/demoted"
-let m_decisions_displaced = "decisions/displaced"
-let m_decisions_released = "decisions/released"
 let h_latency = "op/latency"
 let h_home_hit = "op/home_hit"
 let h_remote = "op/remote"
@@ -96,25 +39,78 @@ let h_monitor_idle = "monitor/idle_pct"
 let h_monitor_dram = "monitor/dram_loads"
 let h_monitor_l2 = "monitor/l2_hits"
 
-let record_span t s =
+(* Decision kind codes: the record's [a] field and the counter each
+   kind bumps. *)
+let decisions =
+  [|
+    ("promote", "decisions/promoted");
+    ("replicate", "decisions/replicated");
+    ("move", "decisions/moved");
+    ("demote", "decisions/demoted");
+    ("displace", "decisions/displaced");
+    ("release", "decisions/released");
+  |]
+
+let decision_name code = fst decisions.(code)
+
+let decision_code = function
+  | Probe.Promoted _ -> 0
+  | Probe.Promotion_replicated _ -> 1
+  | Probe.Moved _ -> 2
+  | Probe.Demoted _ -> 3
+  | Probe.Displaced _ -> 4
+  | Probe.Released _ -> 5
+
+let decision_obj = function
+  | Probe.Promoted { obj_base; _ }
+  | Probe.Promotion_replicated { obj_base; _ }
+  | Probe.Moved { obj_base; _ }
+  | Probe.Demoted { obj_base; _ }
+  | Probe.Released { obj_base; _ } ->
+      obj_base
+  | Probe.Displaced { hot_base; _ } -> hot_base
+
+(* The core a decision belongs to: where the action landed. *)
+let decision_core = function
+  | Probe.Promoted { core; _ }
+  | Probe.Demoted { core; _ }
+  | Probe.Displaced { core; _ }
+  | Probe.Released { core; _ } ->
+      core
+  | Probe.Moved { to_core; _ } -> to_core
+  | Probe.Promotion_replicated _ -> 0
+
+let observe_span t (s : Native_tel.span) =
   let m = t.metrics_ in
   Metrics.incr m m_ops;
-  let total = s.end_time - s.request_time in
+  let total = Native_tel.latency s in
   Metrics.observe m h_latency total;
   Metrics.observe m
-    (match classify s with
-    | Home_hit -> h_home_hit
-    | Remote -> h_remote
-    | Migrated -> h_migrated)
+    (match Native_tel.classify s with
+    | Native_tel.Home_hit -> h_home_hit
+    | Native_tel.Remote -> h_remote
+    | Native_tel.Migrated -> h_migrated)
     total;
-  Metrics.observe m h_queue s.queue;
-  Metrics.observe m h_migrate s.migrate;
-  Metrics.observe m h_exec s.exec;
-  if t.span_count < t.span_capacity then begin
-    t.spans_rev <- s :: t.spans_rev;
-    t.span_count <- t.span_count + 1
-  end
-  else t.span_drops <- t.span_drops + 1
+  Metrics.observe m h_queue (Native_tel.queue s);
+  Metrics.observe m h_migrate (Native_tel.migrate s);
+  Metrics.observe m h_exec (Native_tel.exec s)
+
+let set_ops t tid = function
+  | [] -> Hashtbl.remove t.ops tid
+  | stack -> Hashtbl.replace t.ops tid stack
+
+(* Mint the op's token on its requesting core and open its frame. *)
+let submit t ~time ~core ~tid ~addr =
+  let token =
+    Telemetry.op_submit_at t.cores.(core) ~ts:time ~obj:addr ~arg:tid
+  in
+  Native_tel.unstarted ~token ~obj:addr ~tid ~sink:core ~ts:time
+
+let ship t ~time ~token ~obj ~from_core ~to_core =
+  Telemetry.record_at t.cores.(from_core) ~ts:time ~kind:Telemetry.Ship_out
+    ~a:token ~b:obj ~c:to_core;
+  Telemetry.record_at t.cores.(to_core) ~ts:time ~kind:Telemetry.Ship_in
+    ~a:token ~b:obj ~c:from_core
 
 (* Per-core utilisation snapshot for one monitor period. The rebalancer
    finalizes idle accounting before announcing the period, so idle_cycles
@@ -146,18 +142,9 @@ let snapshot_cores t ~now =
 
 let on_event t ev =
   let m = t.metrics_ in
-  (match ev with
-  | Probe.Mem _ ->
-      Metrics.incr m m_mem_events;
-      let keep = t.sample_mem > 0 && t.mem_seen mod t.sample_mem = 0 in
-      t.mem_seen <- t.mem_seen + 1;
-      if keep then begin
-        Metrics.incr m m_mem_sampled;
-        Ring.push t.ring ev
-      end
-  | _ -> Ring.push t.ring ev);
+  let stack tid = Option.value ~default:[] (Hashtbl.find_opt t.ops tid) in
   match ev with
-  | Probe.Mem _ -> ()
+  | Probe.Mem _ -> Metrics.incr m m_mem_events
   | Probe.Lock_acquired { contended; _ } ->
       Metrics.incr m m_locks_acquired;
       if contended then Metrics.incr m m_locks_handoffs
@@ -165,102 +152,68 @@ let on_event t ev =
   | Probe.Thread_spawned _ -> Metrics.incr m m_threads_spawned
   | Probe.Thread_finished { tid; _ } ->
       Metrics.incr m m_threads_finished;
-      Hashtbl.remove t.pending tid;
-      Hashtbl.remove t.open_ tid
-  | Probe.Thread_moved { time; tid; _ } -> (
+      Hashtbl.remove t.ops tid
+  | Probe.Thread_moved { time; tid; from_core; to_core } -> (
       Metrics.incr m m_migrations;
-      match Hashtbl.find_opt t.pending tid with
-      | Some p when p.p_moved_at < 0 -> p.p_moved_at <- time
-      | Some _ | None -> ())
+      match stack tid with
+      | f :: rest when f.start_ts < 0 && not (Native_tel.shipped f) ->
+          (* the op's own move; a sampled-out op keeps it out of the ring *)
+          set_ops t tid ({ f with ship_out_ts = time } :: rest);
+          if f.token >= 0 then
+            ship t ~time ~token:f.token ~obj:f.obj ~from_core ~to_core
+      | _ -> ship t ~time ~token:(-1) ~obj:(-1) ~from_core ~to_core)
   | Probe.Op_requested { time; core; tid; addr } ->
-      Hashtbl.replace t.pending tid
-        { p_addr = addr; p_core = core; p_time = time; p_moved_at = -1 }
-  | Probe.Op_started { time; tid; addr; home; _ } ->
-      let frame =
-        match Hashtbl.find_opt t.pending tid with
-        | Some p ->
-            Hashtbl.remove t.pending tid;
-            let migrated = p.p_moved_at >= 0 in
-            {
-              o_addr = p.p_addr;
-              o_home = home;
-              o_request_core = p.p_core;
-              o_request_time = p.p_time;
-              o_start_time = time;
-              o_queue = (if migrated then p.p_moved_at else time) - p.p_time;
-              o_migrate = (if migrated then time - p.p_moved_at else 0);
-              o_migrated = migrated;
-            }
-        | None ->
-            (* start without a request (synthetic event): zero breakdown *)
-            {
-              o_addr = addr;
-              o_home = home;
-              o_request_core = -1;
-              o_request_time = time;
-              o_start_time = time;
-              o_queue = 0;
-              o_migrate = 0;
-              o_migrated = false;
-            }
+      set_ops t tid (submit t ~time ~core ~tid ~addr :: stack tid)
+  | Probe.Op_started { time; core; tid; addr; home } ->
+      let f, rest =
+        match stack tid with
+        | f :: rest when f.start_ts < 0 -> (f, rest)
+        | started ->
+            (* no request seen (attached mid-op): zero queue and migrate *)
+            (submit t ~time ~core ~tid ~addr, started)
       in
-      let stack = Option.value ~default:[] (Hashtbl.find_opt t.open_ tid) in
-      Hashtbl.replace t.open_ tid (frame :: stack)
+      let f =
+        { f with start_ts = time; exec_sink = core; remote = home = None }
+      in
+      set_ops t tid (f :: rest);
+      if f.token >= 0 then
+        Telemetry.record_at t.cores.(core) ~ts:time ~kind:Telemetry.Start
+          ~a:f.token ~b:f.obj
+          ~c:(if f.remote then 1 else 0)
   | Probe.Op_ended { time; core; tid } -> (
-      match Hashtbl.find_opt t.open_ tid with
-      | Some (frame :: rest) ->
-          if rest = [] then Hashtbl.remove t.open_ tid
-          else Hashtbl.replace t.open_ tid rest;
-          record_span t
-            {
-              tid;
-              addr = frame.o_addr;
-              home = frame.o_home;
-              request_core =
-                (if frame.o_request_core >= 0 then frame.o_request_core
-                 else core);
-              exec_core = core;
-              request_time = frame.o_request_time;
-              start_time = frame.o_start_time;
-              end_time = time;
-              queue = frame.o_queue;
-              migrate = frame.o_migrate;
-              exec = time - frame.o_start_time;
-              migrated = frame.o_migrated;
-            }
-      | Some [] | None -> () (* unmatched end: the analysis layer's finding *))
+      match stack tid with
+      | f :: rest when f.start_ts >= 0 ->
+          set_ops t tid rest;
+          if f.token >= 0 then
+            Telemetry.record_at t.cores.(core) ~ts:time ~kind:Telemetry.End
+              ~a:f.token ~b:f.obj ~c:0;
+          observe_span t { f with end_ts = time }
+      | _ -> () (* unmatched end: the analysis layer's finding *))
   | Probe.Rebalanced { time; moves; demotions } ->
+      Telemetry.record_at t.monitor ~ts:time ~kind:Telemetry.Rebalance ~a:moves
+        ~b:demotions ~c:0;
       Metrics.incr m m_rebalance_periods;
       Metrics.incr ~by:moves m m_rebalance_moves;
       Metrics.incr ~by:demotions m m_rebalance_demotions;
       snapshot_cores t ~now:time
-  | Probe.Decision { decision; _ } ->
-      Metrics.incr m
-        (match decision with
-        | Probe.Promoted _ -> m_decisions_promoted
-        | Probe.Promotion_replicated _ -> m_decisions_replicated
-        | Probe.Moved _ -> m_decisions_moved
-        | Probe.Demoted _ -> m_decisions_demoted
-        | Probe.Displaced _ -> m_decisions_displaced
-        | Probe.Released _ -> m_decisions_released)
+  | Probe.Decision { time; decision } ->
+      let code = decision_code decision in
+      Telemetry.record_at t.monitor ~ts:time ~kind:Telemetry.Decision ~a:code
+        ~b:(decision_obj decision) ~c:(decision_core decision);
+      Metrics.incr m (snd decisions.(code))
 
-let attach ?(ring_capacity = 1 lsl 16) ?(span_capacity = 1 lsl 16)
-    ?(sample_mem = 1) engine =
-  if sample_mem < 0 then invalid_arg "Recorder.attach: sample_mem < 0";
+let attach ?(ring_capacity = 1 lsl 12) ?(sample = 1) engine =
   let machine_ = Engine.machine engine in
+  let cores = Engine.cores engine in
+  let capture = Telemetry.create ~ring_capacity ~sample ~domains:cores () in
   let t =
     {
-      ring = Ring.create ~capacity:ring_capacity;
+      capture;
+      cores = Telemetry.sink_array capture ~n:cores;
+      monitor = Telemetry.coordinator capture;
       metrics_ = Metrics.create ();
       machine_;
-      sample_mem;
-      span_capacity;
-      mem_seen = 0;
-      spans_rev = [];
-      span_count = 0;
-      span_drops = 0;
-      pending = Hashtbl.create 64;
-      open_ = Hashtbl.create 64;
+      ops = Hashtbl.create 64;
       last_counters = Array.map Counters.copy (Machine.all_counters machine_);
       last_snap_time = 0;
     }

@@ -1,92 +1,71 @@
-(** The flight recorder: a probe listener that captures the event stream
-    into a bounded {!Ring}, reconstructs annotated-operation {e spans},
-    and keeps a {!Metrics} registry up to date — all without touching
-    simulator state (listeners observe; they never perform {!O2_runtime.Api}
-    effects).
+(** The simulator's flight recorder: a probe listener that writes the
+    engine's event stream into a {!O2_runtime.Telemetry} capture — the
+    same width-5 records the native backend writes — stamped in virtual
+    cycles, and keeps a {!Metrics} registry up to date, all without
+    touching simulator state (listeners observe; they never perform
+    {!O2_runtime.Api} effects).
 
     Costs are paid only when attached: with no listener the engine's
     probes are guarded out entirely (see {!O2_runtime.Probe.active}).
 
-    {2 Span reconstruction}
+    {2 The capture}
 
-    A span is one [Coretime.ct_start] .. [ct_end] region, stitched from
-    [Op_requested] (annotation entered), an optional [Thread_moved]
-    (operation migrated to the object's home), [Op_started] (running at
-    its final core) and [Op_ended]:
+    Sink [c] is simulated core [c]; the coordinator sink is the CoreTime
+    monitor. The probe events map onto the shared schema:
 
-    - [queue]: request → migration departure (or start when the operation
-      did not move) — annotation overhead plus time to leave the core;
-    - [migrate]: departure → start — wire transfer plus landing;
-    - [exec]: start → end — the operation body.
+    - [Op_requested] → [Submit] on the requesting core, with a token
+      minted per op (1-in-[sample] ops get one; the rest are sampled out
+      of the ring) and the simulated thread id in the spare field;
+    - [Thread_moved] → [Ship_out] on the source core plus [Ship_in] on
+      the destination, at the same cycle. The first move of a requested,
+      not yet started op carries its token; any other move (the
+      migrate-back after [ct_end], scheduler moves) carries token [-1]:
+      it still draws a flow arrow but never forms a span;
+    - [Op_started] → [Start], whose spare field is 1 iff the object is
+      unassigned (the op runs wherever its thread is);
+    - [Op_ended] → [End]; [Rebalanced] → [Rebalance] (moves, demotions);
+      [Decision] → [Decision] (kind code, object base, core) on the
+      monitor sink.
 
-    Nested operations form nested spans (per-thread stacks). Spans are
-    classified {!Home_hit} (object assigned, already on its home),
-    {!Migrated} (moved to reach the home) or {!Remote} (object unassigned,
-    served wherever the thread runs).
+    Memory, lock and thread-lifecycle events only feed counters.
+    {!Native_tel.spans} reconstructs the operation spans; {!Trace_export}
+    writes them as Perfetto JSON. A full sink drops new records and
+    counts them (drop-newest).
 
     {2 Metrics maintained}
 
+    Every op is observed, whatever the sampling and ring bound: a
+    per-thread stack of open ops carries each op's timestamps, and the
+    finished op is classified and broken down by the same
+    {!Native_tel} definitions the capture's spans use.
+
     Counters: [ops], [migrations], [locks/acquired], [locks/handoffs],
-    [threads/spawned], [threads/finished], [mem/events], [mem/sampled],
-    [rebalance/periods], [rebalance/moves], [rebalance/demotions].
-    Histograms: [op/latency] plus the [op/home_hit]/[op/remote]/
-    [op/migrated] split (all request→end, in cycles) and the
-    [op/queue]/[op/migrate]/[op/exec] breakdown; [monitor/idle_pct],
-    [monitor/dram_loads], [monitor/l2_hits] sampled per core at each
-    monitor period. Gauges: per-core [coreNN/idle_frac], [coreNN/dram_loads],
-    [coreNN/l2_hits] for the most recent period. *)
-
-type span = {
-  tid : int;
-  addr : int;  (** The operation's object base ([ct_start]'s argument). *)
-  home : int option;  (** The object's home core at start, if assigned. *)
-  request_core : int;  (** Core where [ct_start] was entered. *)
-  exec_core : int;  (** Core where the operation ran and ended. *)
-  request_time : int;
-  start_time : int;
-  end_time : int;
-  queue : int;
-  migrate : int;
-  exec : int;
-  migrated : bool;
-}
-
-type op_class = Home_hit | Remote | Migrated
-
-val classify : span -> op_class
+    [threads/spawned], [threads/finished], [mem/events],
+    [rebalance/periods], [rebalance/moves], [rebalance/demotions], and
+    [decisions/*] per decision kind. Histograms: [op/latency] plus the
+    [op/home_hit]/[op/remote]/[op/migrated] split (all request→end, in
+    cycles) and the [op/queue]/[op/migrate]/[op/exec] breakdown;
+    [monitor/idle_pct], [monitor/dram_loads], [monitor/l2_hits] sampled
+    per core at each monitor period. Gauges: per-core [coreNN/idle_frac],
+    [coreNN/dram_loads], [coreNN/l2_hits] for the most recent period. *)
 
 type t
 
-val attach :
-  ?ring_capacity:int ->
-  ?span_capacity:int ->
-  ?sample_mem:int ->
-  O2_runtime.Engine.t ->
-  t
-(** Subscribe a recorder to the engine's probe. [ring_capacity] bounds the
-    retained event window (default 65536; 0 keeps no events — metrics
-    only). [span_capacity] bounds retained spans likewise. [sample_mem]
-    keeps 1-in-N [Mem] events (default 1 = all; 0 = none); all other event
-    kinds are always captured. The subscription lasts for the engine's
-    lifetime.
-    @raise Invalid_argument if [sample_mem] is negative. *)
+val attach : ?ring_capacity:int -> ?sample:int -> O2_runtime.Engine.t -> t
+(** Subscribe a recorder to the engine's probe. [ring_capacity] bounds
+    each sink's retained records (default 4096; 0 keeps no records —
+    metrics only). [sample] keeps the span events of 1-in-N ops per
+    requesting core (default 1 = all; 0 = none); moves outside ops,
+    rebalances and decisions are always kept. The subscription lasts
+    for the engine's lifetime.
+    @raise Invalid_argument on a negative [ring_capacity] or [sample]. *)
 
 val metrics : t -> Metrics.t
 val machine : t -> O2_simcore.Machine.t
 
-val events : t -> O2_runtime.Probe.event list
-(** The retained window, oldest first. *)
+val capture : t -> O2_runtime.Telemetry.t
+(** The recorded events, in virtual cycles. *)
 
-val events_retained : t -> int
-val events_total : t -> int
-
-val events_dropped : t -> int
-(** Events captured but then lost to the ring bound. [Mem] events skipped
-    by sampling are not captured at all; their count is
-    [mem/events - mem/sampled] in {!metrics}. *)
-
-val spans : t -> span list
-(** Completed spans in completion order. *)
-
-val span_count : t -> int
-val spans_dropped : t -> int
+val decision_name : int -> string
+(** The name of a [Decision] record's kind code: ["promote"],
+    ["replicate"], ["move"], ["demote"], ["displace"] or ["release"]. *)

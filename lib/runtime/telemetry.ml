@@ -1,15 +1,16 @@
-(* Wall-clock telemetry for the native backend: the flight recorder's
-   concurrent sibling. The simulator's Probe delivers events to listener
-   closures synchronously — fine on one domain, a contention machine on
-   many. Here every writer owns a sink nobody else touches: worker d
-   writes sinks.(d), the coordinator writes sinks.(domains), and readers
-   only look at quiescence (drain returned, pool idle). No atomics, no
-   locks, no cross-domain writes on the hot path.
+(* The flight recorder's one event schema, shared by both backends.
+   Every writer owns a sink nobody else touches: on the native backend
+   worker d writes sinks.(d) and the coordinator writes sinks.(domains);
+   the simulator's O2_obs.Recorder maps simulated core c to sinks.(c) and
+   the CoreTime monitor to the coordinator sink. Readers only look at
+   quiescence (drain returned, pool idle; or the simulation stopped). No
+   atomics, no locks, no cross-domain writes on the hot path.
 
-   Each sink is a flat int-array ring of fixed-width records stamped with
-   CLOCK_MONOTONIC nanoseconds (bechamel's noalloc stub). The stamp is
-   clamped per-writer to be nondecreasing, so a sink's ring is sorted by
-   construction and the k-way merge in O2_obs.Native_tel needs no sort.
+   Each sink is a flat int-array ring of fixed-width records. Native
+   writers stamp them with CLOCK_MONOTONIC nanoseconds (bechamel's noalloc
+   stub); the simulator stamps virtual cycles through record_at. The stamp
+   is clamped per-writer to be nondecreasing, so a sink's ring is sorted
+   by construction and the k-way merge in O2_obs.Native_tel needs no sort.
    When a ring is full new records are dropped (drop-newest) and counted
    per sink — the retained window is a prefix, never a torn middle.
 
@@ -72,8 +73,9 @@ type kind =
   | Ship_in  (* a = token, b = obj, c = source domain *)
   | Start  (* a = token, b = obj *)
   | End  (* a = token, b = obj *)
-  | Rebalance  (* a = moves *)
+  | Rebalance  (* a = moves, b = demotions *)
   | Quiesce
+  | Decision  (* a = decision kind code, b = object base, c = core *)
 
 let int_of_kind = function
   | Steal -> 0
@@ -88,6 +90,7 @@ let int_of_kind = function
   | End -> 9
   | Rebalance -> 10
   | Quiesce -> 11
+  | Decision -> 12
 
 let kind_of_int = function
   | 0 -> Steal
@@ -102,6 +105,7 @@ let kind_of_int = function
   | 9 -> End
   | 10 -> Rebalance
   | 11 -> Quiesce
+  | 12 -> Decision
   | k -> invalid_arg (Printf.sprintf "Telemetry.kind_of_int: %d" k)
 
 let kind_name = function
@@ -117,6 +121,7 @@ let kind_name = function
   | End -> "end"
   | Rebalance -> "rebalance"
   | Quiesce -> "quiesce"
+  | Decision -> "decision"
 
 (* Record width: ts, kind, a, b, c. *)
 let width = 5
@@ -275,15 +280,24 @@ let note_spawned s ~core =
 
 (* Mint a token for one op. Returns -1 when this op's span events are
    sampled out — the latency accumulators still see it. *)
-let op_submit s ~obj =
+let mint s =
   let seq = s.seq in
   s.seq <- seq + 1;
-  if s.sample > 0 && seq mod s.sample = 0 then begin
-    let token = (seq * max_sinks) + s.id in
-    record s ~kind:Submit ~a:token ~b:obj ~c:0;
-    token
-  end
+  if s.sample > 0 && seq mod s.sample = 0 then (seq * max_sinks) + s.id
   else -1
+
+let op_submit s ~obj =
+  let token = mint s in
+  if token >= 0 then record s ~kind:Submit ~a:token ~b:obj ~c:(-1);
+  token
+
+(* The same mint at an explicit timestamp, with the spare field filled:
+   the simulator's recorder stamps virtual cycles and keeps the simulated
+   thread id there. *)
+let op_submit_at s ~ts ~obj ~arg =
+  let token = mint s in
+  if token >= 0 then record_at s ~ts ~kind:Submit ~a:token ~b:obj ~c:arg;
+  token
 
 let token_sink token = token mod max_sinks
 let token_seq token = token / max_sinks

@@ -1,21 +1,26 @@
-(** Wall-clock telemetry sinks for the native backend.
+(** Flight-recorder sinks: the one event schema both backends record.
 
-    The native sibling of {!Probe}: where the simulator delivers events
-    synchronously to listener closures on one domain, real domains need
-    a sink per writer. Worker [d] owns sink [d]; the coordinator (the
-    thread calling [drain]/[rebalance]) owns sink [domains]. The owner
-    is the only writer — no atomics, no locks, no cross-domain writes on
-    the hot path — and readers (the merge, metrics and trace exporters
-    in [O2_obs]) may only look while the pool is quiescent.
+    Real domains need a sink per writer. On the native backend worker
+    [d] owns sink [d] and the coordinator (the thread calling
+    [drain]/[rebalance]) owns sink [domains]; the simulator's
+    [O2_obs.Recorder] maps simulated core [c] to sink [c] and the
+    CoreTime monitor to the coordinator sink. The owner is the only
+    writer — no atomics, no locks, no cross-domain writes on the hot
+    path — and readers (the merge, span reconstruction, metrics and the
+    Perfetto writer in [O2_obs]) may only look while the writers are
+    quiescent.
 
     Each sink holds
 
-    - a bounded ring of fixed-width records stamped with
-      [CLOCK_MONOTONIC] nanoseconds, clamped per-writer to be
-      nondecreasing (so each ring is sorted by construction and the
-      k-way merge needs no sort). A full ring drops new records
-      (drop-newest) and counts them: the retained window is a prefix;
-    - plain counters (steals, ships, parks, wakes, inbox batches);
+    - a bounded ring of fixed-width records, stamped with
+      [CLOCK_MONOTONIC] nanoseconds by the native writers or with
+      virtual cycles through {!record_at} / {!op_submit_at}, clamped
+      per-writer to be nondecreasing (so each ring is sorted by
+      construction and the k-way merge needs no sort). A full ring drops
+      new records (drop-newest) and counts them: the retained window is
+      a prefix;
+    - plain counters (steals, ships, parks, wakes, inbox batches;
+      native writers only);
     - log2-bucket latency accumulators ({!acc}, same bucket layout as
       [O2_obs.Hist], imported via [Hist.of_raw]) fed by [with_op] with
       timestamps carried in locals across domain handoffs — latency
@@ -77,13 +82,17 @@ type kind =
   | Wake
   | Inbox_batch  (** [a] = tasks delivered by one drain *)
   | Spawned  (** [a] = target domain *)
-  | Submit  (** [a] = token, [b] = obj *)
+  | Submit  (** [a] = token, [b] = obj, [c] = submitter's thread id
+                (the simulated tid; [-1] natively) *)
   | Ship_out  (** [a] = token, [b] = obj, [c] = destination domain *)
   | Ship_in  (** [a] = token, [b] = obj, [c] = source domain *)
-  | Start  (** [a] = token, [b] = obj *)
+  | Start
+      (** [a] = token, [b] = obj, [c] = 1 iff the object has no home (the
+          op runs wherever its thread is), 0 when it runs at its home *)
   | End  (** [a] = token, [b] = obj *)
-  | Rebalance  (** [a] = moves *)
+  | Rebalance  (** [a] = moves, [b] = demotions *)
   | Quiesce
+  | Decision  (** [a] = decision kind code, [b] = object base, [c] = core *)
 
 val kind_name : kind -> string
 
@@ -99,6 +108,11 @@ val op_submit : sink -> obj:int -> int
 (** Mint this op's token and record its [Submit] event if sampled in.
     Returns [-1] when sampled out — pass it along anyway; the ship/
     start/end writers ignore negative tokens while still counting. *)
+
+val op_submit_at : sink -> ts:int -> obj:int -> arg:int -> int
+(** {!op_submit} at an explicit timestamp, with [arg] in the [Submit]
+    record's spare field — how the simulator's recorder mints tokens in
+    virtual cycles. *)
 
 val note_ship_out : sink -> token:int -> obj:int -> dst:int -> unit
 val note_ship_in : sink -> token:int -> obj:int -> src:int -> unit

@@ -94,10 +94,12 @@ let find_build_root ?build_dir ~root () =
   in
   List.find_opt has_objs candidates
 
-let load_tree ?build_dir ~root () =
+let load_tree ?build_dir ?(under = "lib") ~root () =
   match find_build_root ?build_dir ~root () with
   | None -> Error "no build tree with .cmt files found (run `dune build @check`)"
   | Some broot ->
+      let prefix = under ^ "/" in
+      let n = String.length prefix in
       let seen = Hashtbl.create 64 in
       let mods =
         List.filter_map
@@ -105,14 +107,14 @@ let load_tree ?build_dir ~root () =
             match load p with
             | Some m
               when (not (Hashtbl.mem seen m.modname))
-                   && String.length m.source >= 4
-                   && String.sub m.source 0 4 = "lib/" ->
+                   && String.length m.source >= n
+                   && String.sub m.source 0 n = prefix ->
                 Hashtbl.add seen m.modname ();
                 Some m
             | _ -> None)
-          (discover ~root:(Filename.concat broot "lib"))
+          (discover ~root:(Filename.concat broot under))
       in
-      if mods = [] then Error ("no library .cmt files under " ^ broot)
+      if mods = [] then Error (Printf.sprintf "no %s .cmt files under %s" under broot)
       else Ok mods
 
 (* ------------------------------------------------------------------ *)

@@ -19,9 +19,13 @@ val discover : root:string -> string list
 
 val find_build_root : ?build_dir:string -> root:string -> unit -> string option
 val load_tree :
-  ?build_dir:string -> root:string -> unit -> (module_info list, string) result
-(** Load every library implementation .cmt (sources under [lib/]),
-    deduplicated by module name. *)
+  ?build_dir:string ->
+  ?under:string ->
+  root:string ->
+  unit ->
+  (module_info list, string) result
+(** Load every implementation .cmt whose source lies under [under]
+    (default ["lib"]), deduplicated by module name. *)
 
 val split_component : string -> string list
 val path_components : Path.t -> string list

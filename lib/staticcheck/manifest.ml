@@ -91,8 +91,8 @@ let default =
     { module_ = "Telemetry";
       functions =
         [ "record_at"; "observe"; "bucket_of"; "note_steal"; "note_park";
-          "note_wake"; "note_inbox_batch"; "note_spawned"; "op_submit";
-          "note_ship_out"; "note_ship_in"; "note_start"; "note_end";
+          "note_wake"; "note_inbox_batch"; "note_spawned"; "mint"; "op_submit";
+          "op_submit_at"; "note_ship_out"; "note_ship_in"; "note_start"; "note_end";
           "observe_home"; "observe_shipped"; "observe_ship_delay";
           "observe_exec"; "note_rebalance"; "note_quiesce"; "enabled";
           "token_sink"; "token_seq" ] };

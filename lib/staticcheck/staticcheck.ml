@@ -1,5 +1,5 @@
-(* Driver: load every library .cmt dune produced, run the four passes,
-   and render the combined report as text or JSON. *)
+(* Entry point: load every library and example .cmt dune produced, run the
+   passes, and render the combined report as text or JSON. *)
 
 type report = {
   findings : Finding.t list;
@@ -23,6 +23,7 @@ let run_on_modules ?manifest ?allowlist mods =
     @ Effect_check.check mods
     @ Lock_check.check mods
     @ Raw_use.check ?allowlist mods
+    @ Lint_check.check mods
   in
   {
     findings = List.sort_uniq Finding.compare findings;
@@ -40,6 +41,12 @@ let run ?build_dir ?manifest ?allowlist ~root () =
   | Error e -> Error e
   | Ok mods ->
       let r = run_on_modules ?manifest ?allowlist mods in
+      (* The examples are programs, not library code: only the
+         surface-idiom rule applies to them. *)
+      let examples =
+        Result.value ~default:[]
+          (Cmt_load.load_tree ?build_dir ~under:"examples" ~root ())
+      in
       let stale =
         Alloc_check.check_manifest_modules ?manifest mods
         @ Raw_use.check_allowlist ?allowlist mods
@@ -47,7 +54,10 @@ let run ?build_dir ?manifest ?allowlist ~root () =
       Ok
         {
           r with
-          findings = List.sort_uniq Finding.compare (stale @ r.findings);
+          findings =
+            List.sort_uniq Finding.compare
+              (stale @ Lint_check.check examples @ r.findings);
+          modules_scanned = r.modules_scanned + List.length examples;
         }
 
 let pp_report ppf r =

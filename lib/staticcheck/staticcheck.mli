@@ -1,9 +1,10 @@
 (** Typedtree-based static analysis over the repo's own .cmt files.
 
     Three semantic passes (allocation on the hot-path manifest,
-    effect-freedom of observability listeners, spinlock discipline) plus
-    the raw-primitive allowlist, all running on dune's typed trees
-    instead of source text. *)
+    effect-freedom of observability listeners, spinlock discipline), the
+    raw-primitive allowlist, and the lint rules ([ignored-result],
+    [missing-mli]), all running on dune's typed trees instead of source
+    text. *)
 
 type report = {
   findings : Finding.t list;
@@ -17,7 +18,7 @@ val run_on_modules :
   ?allowlist:string list ->
   Cmt_load.module_info list ->
   report
-(** Run all four passes over an explicit module list (used by the test
+(** Run every pass over an explicit module list (used by the test
     fixtures). *)
 
 val run :
@@ -28,7 +29,8 @@ val run :
   unit ->
   (report, string) result
 (** Discover .cmt files under a build tree rooted at [root] (or
-    [build_dir]) and run all passes. Because the scan covers the whole
+    [build_dir]) and run all passes over the [lib/] modules, plus
+    [ignored-result] over the [examples/] programs. Because the scan covers the whole
     tree, it also reports stale entries: [manifest-missing] for a
     manifest module that no scanned module matches, [allowlist-missing]
     for an allowlist path that no scanned source matches. [Error] when

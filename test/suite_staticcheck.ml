@@ -108,6 +108,28 @@ let test_raw_fixture () =
     (codes
        (SC.Raw_use.check_module ~allowlist:[ m.SC.Cmt_load.source ] m))
 
+(* The lint rules: an ignored unit-returning call is caught through an
+   [open] and fully qualified, but not in a string or around another
+   callee; an interface silences missing-mli and its absence trips it. *)
+let test_ignored_result_fixture () =
+  let m = load_fixture "Fx_ignored" in
+  let fs = SC.Lint_check.ignored_result m in
+  Alcotest.(check (list string))
+    "opened Api.lock and qualified Engine.run flagged"
+    [ "ignored-result"; "ignored-result" ]
+    (codes fs);
+  Alcotest.(check (list int))
+    "on the two offending lines" [ 8; 9 ]
+    (List.map (fun f -> f.SC.Finding.line) fs)
+
+let test_missing_mli_fixture () =
+  Alcotest.(check (list string))
+    "a module with an interface is clean" []
+    (codes (SC.Lint_check.missing_mli (load_fixture "Fx_ignored")));
+  Alcotest.(check (list string))
+    "a module without one is flagged" [ "missing-mli" ]
+    (codes (SC.Lint_check.missing_mli (load_fixture "Fx_no_mli")))
+
 (* The lib/native diagnostic surface: an allocating steal loop and a
    closure-per-task dispatch must fire the alloc pass, a raw
    Domain.spawn outside the shims must fire the raw pass, and the
@@ -214,6 +236,9 @@ let suite =
     Alcotest.test_case "lock discipline fixture" `Quick test_lock_fixture;
     Alcotest.test_case "raw primitive fixture" `Quick test_raw_fixture;
     Alcotest.test_case "native backend fixture" `Quick test_native_fixture;
+    Alcotest.test_case "ignored-result fixture" `Quick
+      test_ignored_result_fixture;
+    Alcotest.test_case "missing-mli fixture" `Quick test_missing_mli_fixture;
     Alcotest.test_case "repo tree is clean" `Quick test_clean_tree;
     Alcotest.test_case "stale manifest and allowlist entries" `Quick
       test_stale_entries;
