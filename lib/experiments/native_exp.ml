@@ -249,12 +249,15 @@ let write_json ~path ~quick ~oracle ~rows =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (json ~quick ~oracle ~rows))
 
-(* The observed cell: one kv run with the full flight recorder attached
-   — ring events on, op spans sampled 1-in-[sample] — feeding the o2top
-   readout, the per-domain table, and the Perfetto export. Deliberately
-   separate from the measured ladder above, whose telemetry stays
-   metrics-only so ring traffic never contaminates the throughput
-   numbers. *)
+(* The observed cell: one backend carrying both programs, so a capture
+   shows both kinds of op — kv clients on mutable buckets, whose ops
+   ship to their homes, and dir clients on read-only directories, which
+   run where they are submitted — with the full flight recorder
+   attached: ring events on, op spans sampled 1-in-[sample], feeding
+   the o2top readout, the per-domain table, and the Perfetto export.
+   Deliberately separate from the measured ladder above, whose
+   telemetry stays metrics-only so ring traffic never contaminates the
+   throughput numbers. *)
 let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
   let tel = Tel.create ~ring_capacity:(1 lsl 18) ~sample ~domains () in
   let b = NB.create ~telemetry:tel ~domains () in
@@ -264,30 +267,53 @@ let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
       let store =
         Kv.create b ~name:"kv" ~buckets:64 ~slots_per_bucket:32 ()
       in
+      let fs = Dir.create b ~name:"dir" ~dirs:24 ~entries_per_dir:48 () in
       let clients = 8 in
+      let kv_clients = clients / 2 in
       let ops_per_client = Harness.scaled ~quick 4_000 in
       let rounds = 3 in
       let sinks = Array.make clients 0 in
       for r = 0 to rounds - 1 do
         for c = 0 to clients - 1 do
-          let prog =
-            Op.kv_program ~clients ~client:c ~ops:ops_per_client
-              ~keyspace:1024 ~seed:(499 + (31 * r))
+          let body =
+            if c < kv_clients then begin
+              (* Every kv client draws from the whole keyspace, so about
+                 half its ops find their bucket homed on the other
+                 domain and ship (results then depend on the schedule;
+                 this cell only observes). *)
+              let prog =
+                Op.kv_program ~clients:1 ~client:0 ~ops:ops_per_client
+                  ~keyspace:1024 ~seed:(499 + (31 * r) + (7 * c))
+              in
+              fun () ->
+                let acc = ref 0 in
+                Array.iter
+                  (fun op ->
+                    let raw =
+                      match op with
+                      | Op.Get k -> Kv.get store ~key:k
+                      | Op.Put (k, v) ->
+                          if Kv.put store ~key:k ~value:v then 1 else 0
+                      | Op.Delete k -> if Kv.delete store ~key:k then 1 else 0
+                    in
+                    acc := !acc lxor Op.kv_result op ~raw)
+                  prog;
+                fold_sink sinks c !acc
+            end
+            else begin
+              let prog =
+                Op.dir_program ~dirs:24 ~entries_per_dir:48 ~ops:ops_per_client
+                  ~seed:(131 * ((r * clients) + c + 1))
+              in
+              fun () ->
+                let acc = ref 0 in
+                Array.iter
+                  (fun (dir, key) -> acc := !acc lxor Dir.lookup fs ~dir ~key)
+                  prog;
+                fold_sink sinks c !acc
+            end
           in
-          NB.spawn b ~core:(c mod domains) ~name:"kv-client" (fun () ->
-              let acc = ref 0 in
-              Array.iter
-                (fun op ->
-                  let raw =
-                    match op with
-                    | Op.Get k -> Kv.get store ~key:k
-                    | Op.Put (k, v) ->
-                        if Kv.put store ~key:k ~value:v then 1 else 0
-                    | Op.Delete k -> if Kv.delete store ~key:k then 1 else 0
-                  in
-                  acc := !acc lxor Op.kv_result op ~raw)
-                prog;
-              fold_sink sinks c !acc)
+          NB.spawn b ~core:(c mod domains) ~name:"client" body
         done;
         NB.run b;
         if r < rounds - 1 then NB.rebalance b
@@ -295,8 +321,8 @@ let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
       ignore (Sys.opaque_identity sinks);
       if metrics then begin
         Format.fprintf ppf
-          "  observed cell (kv_store, %d domain(s), flight recorder \
-           attached):@.@."
+          "  observed cell (kv_store + dir_workload, %d domain(s), flight \
+           recorder attached):@.@."
           domains;
         Format.pp_print_string ppf
           (O2_obs.O2top.render ~units:"wall-clock ns" ~capture:tel

@@ -57,8 +57,10 @@ val observed_cell :
   trace:string option ->
   Format.formatter ->
   unit
-(** One kv run with the full flight recorder attached (ring capacity
-    2^18, op spans sampled 1-in-[sample]); with [metrics] prints the
+(** One run with the full flight recorder attached (ring capacity
+    2^18, op spans sampled 1-in-[sample]): kv clients on mutable buckets
+    (their ops ship) and dir clients on read-only directories (theirs
+    run where submitted) on one backend. With [metrics] prints the
     o2top latency/counter readout (unit-labeled wall-clock ns) and the
     per-domain breakdown, with [trace] writes the Perfetto export.
     Separate from {!measure}'s ladder, whose telemetry stays

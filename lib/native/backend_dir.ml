@@ -11,7 +11,7 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
     let make_dir i =
       {
         obj =
-          B.register b
+          B.register ~read_only:true b
             ~size:(entries_per_dir * entry_bytes)
             ~name:(Printf.sprintf "%s.d%d" name i);
         (* Entries stored shuffled-free: key k at slot k, like a freshly
@@ -33,7 +33,7 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
 
   let lookup t ~dir ~key =
     let d = t.dir_arr.(dir) in
-    B.with_op t.b d.obj (fun () ->
+    B.with_op t.b ~write:false d.obj (fun () ->
         let i = scan d ~key in
         let probed = if i >= 0 then i + 1 else Array.length d.entries in
         B.touch t.b ~write:false ~obj:d.obj ~off:0 ~len:(probed * entry_bytes);

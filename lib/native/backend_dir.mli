@@ -3,9 +3,11 @@
     {!O2_workload.Dir_workload}: each directory is one backend object
     holding [entries] 32-byte entries, and a lookup is a linear scan
     charged per probed entry ([compare_cycles] each, as FAT's 8.3
-    compare is). Read-only means results are interleaving-independent
-    on any backend, so this exercises shipping and rebalancing without
-    the single-writer sizing constraints Backend_kv needs. *)
+    compare is). Directories are immutable once built, so they are
+    registered read-only and lookups are [~write:false] ops: the native
+    backend runs them where they are submitted. Read-only also means
+    results are interleaving-independent on any backend, without the
+    single-writer sizing constraints Backend_kv needs. *)
 
 module Make (B : O2_runtime.Backend_intf.S) : sig
   type t

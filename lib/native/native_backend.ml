@@ -5,10 +5,10 @@
    past its last object. Separate
    small records or unpadded rows would sit adjacent in the heap, and
    every op would bounce the line between domains. Rows are summed by
-   the coordinator only at quiescence; [home] is plain too — written
-   only inside [rebalance] and [register] (inflight = 0, no worker
-   executing clients) and published to workers by the next spawn's
-   inbox CAS / drain exchange pair. *)
+   the coordinator only at quiescence; [home] and [read_only] are plain
+   too — written only inside [rebalance] and [register] (inflight = 0,
+   no worker executing clients) and published to workers by the next
+   spawn's inbox CAS / drain exchange pair. *)
 
 let d_ops = 0
 let d_ships_out = 1
@@ -24,6 +24,7 @@ type t = {
   tcoord : O2_runtime.Telemetry.sink;
   mutable nobjs : int;
   mutable home_ : int array;  (* obj -> home domain *)
+  mutable read_only : bool array;  (* obj -> runs where submitted *)
   mutable names : string array;
   mutable sizes : int array;
   mutable ops_by_obj : int array array;  (* [domain].(obj), owner-written *)
@@ -46,6 +47,7 @@ let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
     tcoord = O2_runtime.Telemetry.coordinator telemetry;
     nobjs = 0;
     home_ = Array.make 16 0;
+    read_only = Array.make 16 false;
     names = Array.make 16 "";
     sizes = Array.make 16 0;
     ops_by_obj = Array.init domains (fun _ -> Array.make (16 + Slots.stride) 0);
@@ -74,6 +76,9 @@ let ensure_capacity t =
   if t.nobjs >= cap then begin
     let cap' = cap * 2 in
     t.home_ <- grow_int_array t.home_ cap';
+    let ro = Array.make cap' false in
+    Array.blit t.read_only 0 ro 0 cap;
+    t.read_only <- ro;
     t.sizes <- grow_int_array t.sizes cap';
     let names = Array.make cap' "" in
     Array.blit t.names 0 names 0 cap;
@@ -84,7 +89,7 @@ let ensure_capacity t =
     t.submits_snap <- Array.map (fun r -> grow_int_array r cap') t.submits_snap
   end
 
-let register t ~size ~name =
+let register ?(read_only = false) t ~size ~name =
   if size <= 0 then invalid_arg "Native_backend.register: size must be > 0";
   if not (Native_pool.quiescent t.pool) then
     invalid_arg "Native_backend.register: must be called at a quiesce point";
@@ -92,6 +97,7 @@ let register t ~size ~name =
   let o = t.nobjs in
   t.nobjs <- o + 1;
   t.home_.(o) <- o mod t.n;
+  t.read_only.(o) <- read_only;
   t.sizes.(o) <- size;
   t.names.(o) <- name;
   o
@@ -104,16 +110,24 @@ let run t =
 
 let telemetry t = t.tel
 
-(* Telemetry timestamps ride in locals: [t0]/[t1] live in the shipped
-   continuation's frame, so a span that crosses domains keeps its
-   submit-side clock reading with no shared state. Ints when off, so
-   the disabled branch costs a cached-bool test and two zero loads. *)
-let with_op t ?write:_ obj f =
+(* An op on a mutable object ships to its home; one on a read-only
+   object runs on the submitting domain, which reads it from its own
+   cache with no effect and no inbox push. Telemetry timestamps ride in
+   locals: [t0]/[t1] live in the shipped continuation's frame, so a
+   span that crosses domains keeps its submit-side clock reading with
+   no shared state. Ints when off, so the disabled branch costs a
+   cached-bool test and two zero loads. *)
+let with_op t ?write obj f =
   let me = Native_pool.current_domain t.pool in
   if me < 0 then
     invalid_arg "Native_backend.with_op: called outside a pool worker";
   if obj < 0 || obj >= t.nobjs then
     invalid_arg "Native_backend.with_op: unknown object";
+  let read_only = t.read_only.(obj) in
+  (match write with
+  | Some true when read_only ->
+      invalid_arg "Native_backend.with_op: ~write:true on a read-only object"
+  | _ -> ());
   let row = t.submits.(me) in
   row.(obj) <- row.(obj) + 1;
   let tel_on = t.tel_on in
@@ -122,7 +136,7 @@ let with_op t ?write:_ obj f =
     if tel_on then O2_runtime.Telemetry.op_submit t.tsinks.(me) ~obj else -1
   in
   let h = t.home_.(obj) in
-  let shipped = h <> me in
+  let shipped = h <> me && not read_only in
   if shipped then begin
     Slots.incr t.dstats ~d:me d_ships_out;
     if tel_on then
@@ -135,12 +149,13 @@ let with_op t ?write:_ obj f =
     if tel_on then
       O2_runtime.Telemetry.note_ship_in t.tsinks.(h) ~token ~obj ~src:me
   end;
-  let here = Native_pool.current_domain t.pool in
+  let here = if shipped then Native_pool.current_domain t.pool else me in
   let orow = t.ops_by_obj.(here) in
   orow.(obj) <- orow.(obj) + 1;
   let t1 =
     if tel_on then begin
-      O2_runtime.Telemetry.note_start t.tsinks.(here) ~token ~obj;
+      O2_runtime.Telemetry.note_start t.tsinks.(here) ~token ~obj
+        ~remote:(here <> h);
       O2_runtime.Telemetry.now_ns ()
     end
     else 0
@@ -185,39 +200,52 @@ let migrations t = t.migrations_
 (* Submit delta for [o] from domain [d] since the last snapshot. *)
 let delta t d o = t.submits.(d).(o) - t.submits_snap.(d).(o)
 
+(* The period's submits on [o] that ship to its home: none for a
+   read-only object, which runs where it is submitted. *)
+let shipping_load t o =
+  if t.read_only.(o) then 0
+  else begin
+    let w = ref 0 in
+    for d = 0 to t.n - 1 do
+      w := !w + delta t d o
+    done;
+    !w
+  end
+
 let rebalance t =
   if not (Native_pool.quiescent t.pool) then
     invalid_arg "Native_backend.rebalance: must run at a quiesce point";
   let moves = ref 0 in
   (* Pass 1 — affinity: home := the domain that submitted most ops this
-     period (ties to the lower index; untouched objects stay put). *)
+     period (ties to the lower index; untouched objects stay put). Only
+     mutable objects ship, so only their homes matter. *)
   for o = 0 to t.nobjs - 1 do
-    let best = ref (-1) and best_n = ref 0 in
-    for d = 0 to t.n - 1 do
-      let n = delta t d o in
-      if n > !best_n then begin
-        best := d;
-        best_n := n
+    if not t.read_only.(o) then begin
+      let best = ref (-1) and best_n = ref 0 in
+      for d = 0 to t.n - 1 do
+        let n = delta t d o in
+        if n > !best_n then begin
+          best := d;
+          best_n := n
+        end
+      done;
+      if !best >= 0 && !best <> t.home_.(o) then begin
+        t.home_.(o) <- !best;
+        incr moves
       end
-    done;
-    if !best >= 0 && !best <> t.home_.(o) then begin
-      t.home_.(o) <- !best;
-      incr moves
     end
   done;
   (* Pass 2 — spill: while a home carries more than ~1.5x the average
-     period load, move its coldest active objects to the least loaded
+     period load that ships, move its coldest active shipping objects to
+     the least loaded
      domain. Deterministic: ascending object scans, ties to lower
      indices; bounded by one pass over the objects. *)
   let load = Array.make t.n 0 in
   let total = ref 0 in
   for o = 0 to t.nobjs - 1 do
-    let w = ref 0 in
-    for d = 0 to t.n - 1 do
-      w := !w + delta t d o
-    done;
-    load.(t.home_.(o)) <- load.(t.home_.(o)) + !w;
-    total := !total + !w
+    let w = shipping_load t o in
+    load.(t.home_.(o)) <- load.(t.home_.(o)) + w;
+    total := !total + w
   done;
   let cap = (!total * 3 / (2 * t.n)) + 1 in
   let arg_extreme better =
@@ -237,13 +265,10 @@ let rebalance t =
       let victim = ref (-1) and victim_w = ref max_int in
       for o = 0 to t.nobjs - 1 do
         if t.home_.(o) = hot then begin
-          let w = ref 0 in
-          for d = 0 to t.n - 1 do
-            w := !w + delta t d o
-          done;
-          if !w > 0 && !w < !victim_w then begin
+          let w = shipping_load t o in
+          if w > 0 && w < !victim_w then begin
             victim := o;
-            victim_w := !w
+            victim_w := w
           end
         end
       done;

@@ -6,6 +6,7 @@ type t = {
   mem : O2_simcore.Memsys.t;
   mutable nobjs : int;
   mutable bases : int array;  (* obj -> extent base address *)
+  mutable read_only : bool array;
   mutable op_counts : int array;  (* obj -> Op_started count, via probe *)
   by_addr : (int, int) Hashtbl.t;  (* base address -> obj handle *)
 }
@@ -21,6 +22,7 @@ let create ?(cfg = O2_simcore.Config.amd16) () =
       mem = O2_simcore.Machine.memory machine;
       nobjs = 0;
       bases = Array.make 16 0;
+      read_only = Array.make 16 false;
       op_counts = Array.make 16 0;
       by_addr = Hashtbl.create 64;
     }
@@ -43,7 +45,7 @@ let cores t = Engine.cores t.engine
 let probe t = Engine.probe t.engine
 let objects t = t.nobjs
 
-let register t ~size ~name =
+let register ?(read_only = false) t ~size ~name =
   if size <= 0 then invalid_arg "Sim_backend.register: size must be > 0";
   let ext = O2_simcore.Memsys.alloc t.mem ~name ~size in
   let base = ext.O2_simcore.Memsys.base in
@@ -52,18 +54,29 @@ let register t ~size ~name =
   if o >= Array.length t.bases then begin
     let cap = Array.length t.bases * 2 in
     let bases = Array.make cap 0 and counts = Array.make cap 0 in
+    let ro = Array.make cap false in
     Array.blit t.bases 0 bases 0 o;
     Array.blit t.op_counts 0 counts 0 o;
+    Array.blit t.read_only 0 ro 0 o;
     t.bases <- bases;
-    t.op_counts <- counts
+    t.op_counts <- counts;
+    t.read_only <- ro
   end;
   t.nobjs <- o + 1;
   t.bases.(o) <- base;
+  t.read_only.(o) <- read_only;
   Hashtbl.replace t.by_addr base o;
   o
 
 let spawn t ~core ~name body = ignore (Engine.spawn t.engine ~core ~name body)
-let with_op t ?write obj f = Coretime.with_op t.ct ?write t.bases.(obj) f
+(* Mutability is checked, not acted on: CoreTime's policy decides where
+   the op runs, as it always has. *)
+let with_op t ?write obj f =
+  (match write with
+  | Some true when t.read_only.(obj) ->
+      invalid_arg "Sim_backend.with_op: ~write:true on a read-only object"
+  | _ -> ());
+  Coretime.with_op t.ct ?write t.bases.(obj) f
 
 let touch t ~write ~obj ~off ~len =
   if len > 0 then begin

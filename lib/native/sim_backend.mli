@@ -24,7 +24,7 @@ val coretime : t -> Coretime.t
 val name : t -> string
 val cores : t -> int
 val probe : t -> O2_runtime.Probe.t
-val register : t -> size:int -> name:string -> int
+val register : ?read_only:bool -> t -> size:int -> name:string -> int
 val objects : t -> int
 val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
 val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a

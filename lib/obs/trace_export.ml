@@ -297,14 +297,17 @@ let ascii_timeline ?(width = 72) v =
             Bytes.set lanes.(s.exec_sink) c '#'
           done)
       spans;
+    (* Execution takes precedence: a move mark only fills a column in
+       which its lane executed nothing, so a busy lane stays [#]. *)
+    let mark lane ts c =
+      if Bytes.get lanes.(lane) (col ts) = '.' then
+        Bytes.set lanes.(lane) (col ts) c
+    in
     Array.iter
       (fun (e : Native_tel.event) ->
         match e.kind with
-        | Telemetry.Ship_out when e.sink < lanes_n ->
-            Bytes.set lanes.(e.sink) (col e.ts) '>'
-        | Telemetry.Ship_in
-          when e.sink < lanes_n && Bytes.get lanes.(e.sink) (col e.ts) = '.' ->
-            Bytes.set lanes.(e.sink) (col e.ts) '<'
+        | Telemetry.Ship_out when e.sink < lanes_n -> mark e.sink e.ts '>'
+        | Telemetry.Ship_in when e.sink < lanes_n -> mark e.sink e.ts '<'
         | Telemetry.Rebalance -> Bytes.set monitor (col e.ts) 'R'
         | _ -> ())
       events;

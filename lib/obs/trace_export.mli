@@ -53,5 +53,7 @@ val write_file : view -> path:string -> unit
 
 val ascii_timeline : ?width:int -> view -> string
 (** One lane per track plus a monitor lane: [#] marks an executing
-    operation span, [>]/[<] a ship or migration leaving/arriving, [R] a
-    rebalance. [width] is the number of time columns (default 72). *)
+    operation span, [>]/[<] a ship or migration leaving/arriving in a
+    column where the lane executed nothing (execution takes
+    precedence), [R] a rebalance. [width] is the number of time
+    columns (default 72). *)

@@ -34,8 +34,13 @@ module type S = sig
       monitor events ([Rebalanced]) — see DESIGN.md, "Two backends, one
       API", for exactly what the cross-check does and does not pin. *)
 
-  val register : t -> size:int -> name:string -> int
+  val register : ?read_only:bool -> t -> size:int -> name:string -> int
   (** Declare an object of [size] bytes; returns its dense handle.
+      [read_only] (default [false]) declares that no operation will
+      write it: [with_op ~write:true] on it then raises. The native
+      backend runs operations on a read-only object where they are
+      submitted; mutable objects always ship to their home. The
+      simulator keeps CoreTime's own policy for both.
       Must be called while the backend is quiescent: no spawned client
       in flight, so before the first spawn or between a completed [run]
       and the next spawn. The native backend raises [Invalid_argument]
@@ -51,9 +56,14 @@ module type S = sig
 
   val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
   (** Bracket one operation on an object handle, from inside a spawned
-      body. Both backends ship the operation to the object's home lane
-      (simulator: thread migration; native: the continuation is
-      enqueued on the home domain) and count it there. *)
+      body. [write] (default [false]) declares whether the operation
+      may write the object; [~write:true] on a read-only object raises
+      [Invalid_argument] on both backends. Where it runs: the simulator
+      migrates the thread as CoreTime's policy decides. The native
+      backend ships an operation on a mutable object to its home lane
+      (the continuation is enqueued on the home domain); one on a
+      read-only object runs on the submitting domain. It is counted
+      where it ran. *)
 
   val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
   (** The cost of touching [len] bytes at [off] inside an object:
@@ -78,7 +88,8 @@ module type S = sig
 
   val ships : t -> int * int
   (** [(out, in_)]: operations that left their submitting lane for the
-      object's home, and operations that arrived by shipping. Both
+      object's home, and operations that arrived by shipping (native:
+      mutable objects only). Both
       backends must keep these balanced ([out = in_] at quiescence). *)
 
   val migrations : t -> int

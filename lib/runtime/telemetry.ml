@@ -310,8 +310,9 @@ let note_ship_in s ~token ~obj ~src =
   s.ships_in <- s.ships_in + 1;
   if token >= 0 then record s ~kind:Ship_in ~a:token ~b:obj ~c:src
 
-let note_start s ~token ~obj =
-  if token >= 0 then record s ~kind:Start ~a:token ~b:obj ~c:0
+let note_start s ~token ~obj ~remote =
+  if token >= 0 then
+    record s ~kind:Start ~a:token ~b:obj ~c:(if remote then 1 else 0)
 
 let note_end s ~token ~obj =
   if token >= 0 then record s ~kind:End ~a:token ~b:obj ~c:0

@@ -87,8 +87,10 @@ type kind =
   | Ship_out  (** [a] = token, [b] = obj, [c] = destination domain *)
   | Ship_in  (** [a] = token, [b] = obj, [c] = source domain *)
   | Start
-      (** [a] = token, [b] = obj, [c] = 1 iff the object has no home (the
-          op runs wherever its thread is), 0 when it runs at its home *)
+      (** [a] = token, [b] = obj, [c] = 1 iff the op runs away from its
+          object's home (the simulator: the object has no home; native:
+          a read-only object used off its home domain), 0 when it runs
+          at its home *)
   | End  (** [a] = token, [b] = obj *)
   | Rebalance  (** [a] = moves, [b] = demotions *)
   | Quiesce
@@ -116,7 +118,10 @@ val op_submit_at : sink -> ts:int -> obj:int -> arg:int -> int
 
 val note_ship_out : sink -> token:int -> obj:int -> dst:int -> unit
 val note_ship_in : sink -> token:int -> obj:int -> src:int -> unit
-val note_start : sink -> token:int -> obj:int -> unit
+val note_start : sink -> token:int -> obj:int -> remote:bool -> unit
+(** [remote]: the op runs away from its object's home ([Start]'s
+    [c = 1]). *)
+
 val note_end : sink -> token:int -> obj:int -> unit
 
 val observe_home : sink -> int -> unit

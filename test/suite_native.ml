@@ -393,8 +393,8 @@ let test_oracle_kv domains () =
   checki "native ships balance" out in_;
   if domains = 1 then checki "one domain never ships" 0 out
 
-let test_oracle_dir () =
-  let r = Oracle.dir_cross_check ~domains:2 () in
+let test_oracle_dir domains () =
+  let r = Oracle.dir_cross_check ~domains () in
   oracle_ok r
 
 let test_oracle_rejects_overflowable_buckets () =
@@ -543,6 +543,110 @@ let test_oracle_kv_with_telemetry domains () =
   checki "telemetry's ship count matches the backend's" out
     (Tel.fold_sinks telemetry ~init:0 ~f:(fun acc s -> acc + Tel.ships_out s))
 
+(* ------------------------------------------------------------------ *)
+(* Read-only objects run where they are submitted.                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A write on a read-only object is a program error on both backends,
+   and it surfaces from [run] like any client exception. *)
+let test_write_on_read_only_raises () =
+  let raises what f =
+    match f () with
+    | () ->
+        Alcotest.failf "%s: ~write:true on a read-only object was accepted"
+          what
+    | exception Invalid_argument _ -> ()
+  in
+  let b = Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let x = Native_backend.register ~read_only:true b ~size:64 ~name:"x" in
+      let m = Native_backend.register b ~size:64 ~name:"m" in
+      Native_backend.spawn b ~core:0 ~name:"writer" (fun () ->
+          Native_backend.with_op b ~write:true x (fun () -> ()));
+      raises "native" (fun () -> Native_backend.run b);
+      (* the pool survives, and writes to mutable objects still run *)
+      Native_backend.spawn b ~core:1 ~name:"ok" (fun () ->
+          Native_backend.with_op b ~write:true m (fun () -> ());
+          Native_backend.with_op b ~write:false x (fun () -> ()));
+      Native_backend.run b;
+      checki "later ops complete" 2 (Native_backend.ops_completed b));
+  let s = Sim_backend.create () in
+  let x = Sim_backend.register ~read_only:true s ~size:64 ~name:"x" in
+  Sim_backend.spawn s ~core:0 ~name:"writer" (fun () ->
+      Sim_backend.with_op s ~write:true x (fun () -> ()));
+  raises "sim" (fun () -> Sim_backend.run s)
+
+module Native_dir = Backend_dir.Make (Native_backend)
+
+(* Directories are registered read-only: a 2-domain dir run never ships
+   and returns every lookup right, while the kv store's mutable buckets
+   keep shipping to their homes. *)
+let test_dir_runs_local_kv_ships () =
+  let b = Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let dirs = 24 and entries_per_dir = 48 and clients = 8 in
+      let d = Native_dir.create b ~name:"dir" ~dirs ~entries_per_dir () in
+      let wrong = Array.make clients 0 in
+      for round = 0 to 2 do
+        for c = 0 to clients - 1 do
+          let prog =
+            Op_program.dir_program ~dirs ~entries_per_dir ~ops:500
+              ~seed:(17 + (31 * round) + c)
+          in
+          Native_backend.spawn b ~core:(c mod 2) ~name:"dir-client" (fun () ->
+              Array.iter
+                (fun (dir, key) ->
+                  let expected = if key < entries_per_dir then key else -1 in
+                  if Native_dir.lookup d ~dir ~key <> expected then
+                    wrong.(c) <- wrong.(c) + 1)
+                prog)
+        done;
+        Native_backend.run b
+      done;
+      checki "every lookup correct" 0 (Array.fold_left ( + ) 0 wrong);
+      checki "every lookup ran" (3 * clients * 500)
+        (Native_backend.ops_completed b);
+      let out, in_ = Native_backend.ships b in
+      checki "read-only lookups never ship" 0 out;
+      checki "nothing arrives either" 0 in_);
+  let r = Oracle.kv_cross_check ~domains:2 () in
+  oracle_ok r;
+  let out, in_ = r.Oracle.native_ships in
+  checkb "kv buckets still ship" true (out > 0);
+  checki "kv ships balance" out in_
+
+(* With telemetry on, a read-only op run off its object's home records
+   a Remote-class span and a shipped op on a mutable object a Migrated
+   one, so captures say where each op really ran. *)
+let test_span_classes () =
+  let tel = Tel.create ~sample:1 ~domains:2 () in
+  let b = Native_backend.create ~telemetry:tel ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let x = Native_backend.register ~read_only:true b ~size:64 ~name:"x" in
+      let m = Native_backend.register b ~size:64 ~name:"m" in
+      (* handles are homed round-robin: x on domain 0, m on domain 1 *)
+      checki "m's home" 1 (Native_backend.home b m);
+      Native_backend.spawn b ~core:0 ~name:"client" (fun () ->
+          O2_runtime.Api.ship_to 1;
+          Native_backend.with_op b x (fun () -> ());
+          O2_runtime.Api.ship_to 0;
+          Native_backend.with_op b m (fun () -> ()));
+      Native_backend.run b;
+      let spans, incomplete = Ntel.spans tel in
+      checki "no incomplete span" 0 incomplete;
+      let classes =
+        List.map (fun s -> Ntel.class_name (Ntel.classify s)) spans
+      in
+      check
+        Alcotest.(list string)
+        "read-only off home, then shipped" [ "remote"; "migrated" ] classes)
+
 let suite =
   [
     Alcotest.test_case "deque grow + FIFO/LIFO ends" `Quick test_deque_grow;
@@ -560,7 +664,7 @@ let suite =
     Alcotest.test_case "oracle: kv at 1 domain" `Slow (test_oracle_kv 1);
     Alcotest.test_case "oracle: kv at 2 domains" `Slow (test_oracle_kv 2);
     Alcotest.test_case "oracle: kv at 4 domains" `Slow (test_oracle_kv 4);
-    Alcotest.test_case "oracle: dir at 2 domains" `Slow test_oracle_dir;
+    Alcotest.test_case "oracle: dir at 2 domains" `Slow (test_oracle_dir 2);
     Alcotest.test_case "oracle: rejects overflowable buckets" `Quick
       test_oracle_rejects_overflowable_buckets;
     QCheck_alcotest.to_alcotest prop_merge_nondecreasing_lossless;
@@ -580,4 +684,12 @@ let suite =
       test_pool_shutdown_parked;
     Alcotest.test_case "backend: register/rebalance need a quiesce point"
       `Quick test_backend_quiesce_point;
+    Alcotest.test_case "backend: write on a read-only object raises" `Quick
+      test_write_on_read_only_raises;
+    Alcotest.test_case "backend: dir runs where submitted, kv ships" `Slow
+      test_dir_runs_local_kv_ships;
+    Alcotest.test_case "telemetry: read-only ops off home are remote"
+      `Quick test_span_classes;
+    Alcotest.test_case "oracle: dir at 1 domain" `Slow (test_oracle_dir 1);
+    Alcotest.test_case "oracle: dir at 4 domains" `Slow (test_oracle_dir 4);
   ]

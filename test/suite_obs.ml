@@ -623,6 +623,36 @@ let test_ascii_timeline () =
        (fun l -> String.length l >= 7 && String.sub l 0 7 = "monitor")
        lines)
 
+(* A lane that executes while moves leave and arrive in the same
+   columns keeps its [#] marks; a move mark only fills an idle column. *)
+let test_timeline_execution_precedence () =
+  let module Tel = O2_runtime.Telemetry in
+  let tel = Tel.create ~domains:2 () in
+  let busy = Tel.sink tel 0 and idle = Tel.sink tel 1 in
+  let token = Tel.op_submit_at busy ~ts:0 ~obj:7 ~arg:(-1) in
+  Tel.record_at busy ~ts:0 ~kind:Tel.Start ~a:token ~b:7 ~c:0;
+  for i = 1 to 9 do
+    Tel.record_at busy ~ts:(i * 10) ~kind:Tel.Ship_out ~a:(-1) ~b:0 ~c:1;
+    Tel.record_at idle ~ts:(i * 10) ~kind:Tel.Ship_in ~a:(-1) ~b:0 ~c:0
+  done;
+  Tel.record_at busy ~ts:100 ~kind:Tel.End ~a:token ~b:7 ~c:0;
+  let timeline =
+    Trace_export.ascii_timeline ~width:20 (Trace_export.of_native tel)
+  in
+  let lane name =
+    let line =
+      List.find
+        (fun l -> String.length l > 8 && String.sub l 0 8 = name)
+        (String.split_on_char '\n' timeline)
+    in
+    let i = String.index line '|' in
+    String.sub line (i + 1) (String.rindex line '|' - i - 1)
+  in
+  Alcotest.(check string) "the executing lane is all #" (String.make 20 '#')
+    (lane "domain 0");
+  Alcotest.(check bool) "the idle lane shows arrivals" true
+    (String.contains (lane "domain 1") '<')
+
 let test_o2top_render () =
   let result = quickstart_recorded () in
   let r = Option.get result.O2_experiments.Quickstart_exp.recorder in
@@ -963,6 +993,8 @@ let suite =
       test_trace_escaping_and_empty_timeline;
     Alcotest.test_case "ascii timeline draws ops, migrations, monitor" `Quick
       test_ascii_timeline;
+    Alcotest.test_case "ascii timeline keeps executed spans over moves" `Quick
+      test_timeline_execution_precedence;
     Alcotest.test_case "o2top renders the three sections" `Quick
       test_o2top_render;
     Alcotest.test_case "bounded storage drops are accounted" `Quick
